@@ -37,7 +37,6 @@ from .schedule import (
     VARIANTS,
     Schedule,
     plan_for_variant,
-    schedule_from_config,
     stage_boundaries,
 )
 from .tensor_store import (
@@ -60,8 +59,10 @@ _LOG_LEVELS = {
 DEFAULT_LAB_TOTAL_STEPS = 5000
 DEFAULT_LAB_STAGE_LENGTH = 500
 
-_LAB_CONFIG_KEYS = {
-    "variant", "seed", "pretrain_steps", "finetune_steps", "total_steps", "stage_length",
+# The keys a subcommand's --config file may set; each is also the dest of a flag.
+_CONFIG_KEYS = {
+    "lab": ("variant", "seed", "pretrain_steps", "finetune_steps", "total_steps", "stage_length"),
+    "schedule": ("mode", "total_steps", "stage_length", "selector"),
 }
 
 
@@ -75,9 +76,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _selector_from_args(args: argparse.Namespace, default_all: bool = False) -> Selector:
-    patterns = args.select or ([] if not default_all else ["*"])
-    return Selector(patterns)
+def _settings(args: argparse.Namespace) -> dict:
+    """The --config file's settings with every flag that was given laid over them.
+
+    Values are type-checked by the constructors that consume them.
+    """
+    settings = {}
+    if args.config:
+        settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(settings, dict):
+            raise ValueError(f"{args.command} config must be a JSON object")
+        unknown = set(settings) - set(_CONFIG_KEYS[args.command])
+        if unknown:
+            raise ValueError(f"unknown {args.command} config keys: {sorted(unknown)}")
+    for key in _CONFIG_KEYS[args.command]:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return settings
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
@@ -109,7 +124,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_merge(args: argparse.Namespace) -> int:
     current = load_checkpoint(args.current)
     pretrained = load_checkpoint(args.pretrained)
-    spec = MergeSpec(args.alpha, _selector_from_args(args, default_all=True))
+    spec = MergeSpec(args.alpha, Selector(args.select or ["*"]))
     merged = linear_merge(current, pretrained, spec)
     save_checkpoint(merged, args.out)
     selected = [n for n in merged.names() if spec.selector.matches(n)]
@@ -118,20 +133,14 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _schedule_from_args(args: argparse.Namespace) -> tuple[Schedule, Selector]:
-    patterns = list(args.select or [])
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not patterns:
-            patterns = list(config.get("selector", []))
-        return schedule_from_config(config), Selector(patterns)
-    if args.total_steps is None:
-        raise ValueError("either --config or --total-steps is required")
-    return Schedule(args.mode, args.total_steps, args.stage_length), Selector(patterns)
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
-    schedule, selector = _schedule_from_args(args)
+    settings = _settings(args)
+    if "total_steps" not in settings:
+        raise ValueError("total steps required: pass --total-steps or set total_steps in --config")
+    schedule = Schedule(
+        settings.get("mode", MODE_GRADUAL), settings["total_steps"], settings.get("stage_length")
+    )
+    selector = Selector(settings.get("selector", []))
     boundaries = stage_boundaries(schedule)
     groups = ", ".join(selector.patterns) if selector.patterns else "-"
     print(f"{'step':>8}  {'alpha':>6}  groups")
@@ -150,38 +159,22 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_lab(args: argparse.Namespace) -> int:
-    # explicit flags win over the config file, which wins over defaults
-    file_config = {}
-    if args.config:
-        file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        unknown = set(file_config) - _LAB_CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown lab config keys: {sorted(unknown)}")
-
-    def setting(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_config.get(key, default)
-
-    variant = setting(args.variant, "variant", "all")
+    settings = _settings(args)
+    variant = settings.pop("variant", "all")
     variants = list(VARIANTS) if variant == "all" else [variant]
-    config = LabConfig(
-        seed=setting(args.seed, "seed", 7),
-        pretrain_steps=setting(args.pretrain_steps, "pretrain_steps", 5000),
-        finetune_steps=setting(args.finetune_steps, "finetune_steps", 5000),
-    )
-    total_steps = setting(args.total_steps, "total_steps", DEFAULT_LAB_TOTAL_STEPS)
-    stage_length = setting(args.stage_length, "stage_length", DEFAULT_LAB_STAGE_LENGTH)
+    total_steps = settings.pop("total_steps", DEFAULT_LAB_TOTAL_STEPS)
+    stage_length = settings.pop("stage_length", DEFAULT_LAB_STAGE_LENGTH)
+    plans = [plan_for_variant(name, total_steps, stage_length) for name in variants]
+    config = LabConfig(**settings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
-    for variant in variants:
-        plan = plan_for_variant(variant, total_steps, stage_length)
-        logger.info("running variant %s", variant)
+    for plan in plans:
+        logger.info("running variant %s", plan.variant_name)
         report = run_reversal_experiment(
             plan, config, checkpoint_dir=out_dir if args.save_checkpoints else None
         )
-        (out_dir / f"report_{variant}.json").write_text(report.to_json(), encoding="utf-8")
+        (out_dir / f"report_{plan.variant_name}.json").write_text(report.to_json(), encoding="utf-8")
         reports.append(report)
     comparison = render_comparison(reports)
     (out_dir / "comparison.txt").write_text(comparison, encoding="utf-8")
@@ -257,11 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.set_defaults(func=cmd_merge)
 
     p_sched = sub.add_parser("schedule", help="print the stage boundary table of a curriculum")
-    p_sched.add_argument("--mode", choices=MODES, default=MODE_GRADUAL)
+    p_sched.add_argument("--mode", choices=MODES, help=f"default: {MODE_GRADUAL}")
     p_sched.add_argument("--total-steps", type=int)
     p_sched.add_argument("--stage-length", type=int)
-    p_sched.add_argument("--select", action="append", help="parameter group pattern (repeatable)")
-    p_sched.add_argument("--config", help="JSON schedule config (overrides flags)")
+    p_sched.add_argument("--select", action="append", dest="selector",
+                         help="parameter group pattern (repeatable)")
+    p_sched.add_argument("--config", help="JSON schedule config; explicit flags override it")
     p_sched.add_argument("--out", default="schedule.json", help="JSON boundary table path")
     p_sched.set_defaults(func=cmd_schedule)
 

@@ -452,7 +452,8 @@ def write_episode_log(records: Iterable[EpisodeRecord], path: str | Path) -> Non
             fh.write(json.dumps(record.to_json_obj(), sort_keys=True) + "\n")
 
 
-def _format_table(rows: list[tuple[str, ...]]) -> str:
+def format_table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, a dash rule under the header row."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
     lines.insert(1, "  ".join("-" * w for w in widths))
@@ -493,7 +494,7 @@ def render_ood_table(table: SuccessTable) -> str:
         overall = ood_counts(policy, None)
         row.append(_fmt(overall.rate(table.metric)) if overall.episodes else "-")
         rows.append(tuple(row))
-    return _format_table(rows)
+    return format_table(rows)
 
 
 def render_in_domain_table(table: SuccessTable, target_object: str = IN_DOMAIN_OBJECT) -> str:
@@ -514,7 +515,7 @@ def render_in_domain_table(table: SuccessTable, target_object: str = IN_DOMAIN_O
                 + tuple(_fmt(rates[s]) if s in rates else "-" for s in SUB_SETTINGS)
                 + (_fmt(rates["average"]),)
             )
-        sections.append(f"[{protocol}]\n" + _format_table(rows))
+        sections.append(f"[{protocol}]\n" + format_table(rows))
     return "\n".join(sections)
 
 
@@ -522,4 +523,4 @@ def render_partial_success(summary: Mapping[str, tuple[float, float]]) -> str:
     rows = [("policy", "grasp", "lift")]
     for policy, (grasp, lift) in summary.items():
         rows.append((policy, _fmt(grasp), _fmt(lift)))
-    return _format_table(rows)
+    return format_table(rows)

@@ -14,10 +14,7 @@ stage boundaries, every staged merge is computed from the original
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping
 
 from .merge import MergeSpec, linear_merge
 from .tensor_store import Checkpoint, Selector
@@ -35,6 +32,11 @@ class ScheduleError(ValueError):
     """Invalid schedule configuration or step query."""
 
 
+def _require_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScheduleError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Step-wise alpha curriculum over a fixed number of training steps.
@@ -50,6 +52,9 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ScheduleError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        _require_int("total steps", self.total_steps)
+        if self.stage_length is not None:
+            _require_int("stage length", self.stage_length)
         if self.total_steps <= 0:
             raise ScheduleError(f"total steps must be positive, got {self.total_steps}")
         if self.mode == MODE_FLIP:
@@ -108,30 +113,13 @@ class MergePlan:
     """A schedule bound to the parameter groups a named variant reverts.
 
     ``D_*`` variants select exactly the DINO group, ``DS_*`` variants the
-    DINO and SigLIP groups; the suffix must match the schedule mode.
+    DINO and SigLIP groups; the suffix names the schedule mode. Build plans
+    with ``plan_for_variant``, which derives both from the variant name.
     """
 
     schedule: Schedule
     selector: Selector
     variant_name: str
-
-    def __post_init__(self) -> None:
-        if self.variant_name not in VARIANTS:
-            raise ScheduleError(
-                f"unknown variant {self.variant_name!r}; expected one of {VARIANTS}"
-            )
-        expected_mode = MODE_FLIP if self.variant_name.endswith("_flip") else MODE_GRADUAL
-        if self.schedule.mode != expected_mode:
-            raise ScheduleError(
-                f"variant {self.variant_name} requires mode {expected_mode!r}, "
-                f"got {self.schedule.mode!r}"
-            )
-        expected = _patterns_for_variant(self.variant_name)
-        if set(self.selector.patterns) != set(expected):
-            raise ScheduleError(
-                f"variant {self.variant_name} selects {list(expected)}, "
-                f"got {list(self.selector.patterns)}"
-            )
 
 
 def plan_for_variant(variant_name: str, total_steps: int, stage_length: int | None = None) -> MergePlan:
@@ -161,38 +149,3 @@ def apply_stage(current: Checkpoint, pretrained: Checkpoint, plan: MergePlan, st
             f"schedule (boundaries every {plan.schedule.stage_length} steps)"
         )
     return linear_merge(current, pretrained, MergeSpec(boundary_alphas[step], plan.selector))
-
-
-def schedule_from_config(config: Mapping) -> Schedule:
-    """Build a schedule from a config mapping (keys: mode, total_steps, stage_length)."""
-    try:
-        mode = config["mode"]
-        total_steps = config["total_steps"]
-    except KeyError as exc:
-        raise ScheduleError(f"schedule config missing key {exc}") from exc
-    return Schedule(mode, total_steps, config.get("stage_length"))
-
-
-def plan_from_config(config: Mapping) -> MergePlan:
-    """Build a merge plan from a config mapping.
-
-    Keys: ``mode``, ``total_steps``, ``stage_length``, ``selector`` (list of
-    patterns; defaults to the variant's canonical groups), ``variant_name``.
-    """
-    schedule = schedule_from_config(config)
-    try:
-        variant_name = config["variant_name"]
-    except KeyError as exc:
-        raise ScheduleError(f"plan config missing key {exc}") from exc
-    patterns = config.get("selector")
-    if patterns is None:
-        if variant_name not in VARIANTS:
-            raise ScheduleError(f"unknown variant {variant_name!r}; expected one of {VARIANTS}")
-        patterns = list(_patterns_for_variant(variant_name))
-    return MergePlan(schedule, Selector(patterns), variant_name)
-
-
-def load_plan(path: str | Path) -> MergePlan:
-    """Read a merge plan from a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return plan_from_config(json.load(fh))

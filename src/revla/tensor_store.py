@@ -25,8 +25,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-FORMAT_VERSION = "1"
-
 _HEADER_LEN_SIZE = 8
 _METADATA_KEY = "__metadata__"
 _DTYPE_FOR_TAG = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
@@ -70,7 +68,6 @@ class Checkpoint:
         self,
         tensors: Mapping[str, np.ndarray],
         metadata: Mapping[str, str] | None = None,
-        format_version: str = FORMAT_VERSION,
     ) -> None:
         frozen: dict[str, np.ndarray] = {}
         for name in sorted(tensors):
@@ -93,7 +90,6 @@ class Checkpoint:
                 if not isinstance(key, str) or not isinstance(value, str):
                     raise CheckpointFormatError("metadata must map strings to strings")
         self._metadata = dict(metadata) if metadata else {}
-        self.format_version = format_version
 
     @property
     def metadata(self) -> dict[str, str]:
@@ -114,12 +110,6 @@ class Checkpoint:
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def meta(self, name: str) -> TensorMeta:
-        for m in self.metas():
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
     def metas(self) -> list[TensorMeta]:
         """Canonical header entries: name order, gap-free ascending offsets."""
         out = []
@@ -134,7 +124,7 @@ class Checkpoint:
         """New checkpoint with some tensors swapped out."""
         tensors = dict(self._tensors)
         tensors.update(updates)
-        return Checkpoint(tensors, self._metadata, self.format_version)
+        return Checkpoint(tensors, self._metadata)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
@@ -159,15 +149,19 @@ class Selector:
 
     ``vision.dino.*`` therefore selects the whole subtree under that prefix.
     The selection is the union over patterns; no patterns selects nothing.
+    Patterns come as a list or tuple: a bare string would otherwise split
+    into one-character patterns, and a ``*`` among them selects everything.
     """
 
     patterns: tuple[str, ...]
 
-    def __init__(self, patterns: Iterable[str] = ()) -> None:
+    def __init__(self, patterns: list[str] | tuple[str, ...] = ()) -> None:
+        if not isinstance(patterns, (list, tuple)):
+            raise ValueError(f"selector patterns must be a list or tuple, got {patterns!r}")
         pats = tuple(patterns)
         for pat in pats:
             if not isinstance(pat, str) or not pat:
-                raise ValueError(f"malformed selector pattern: {pat!r} (empty string)")
+                raise ValueError(f"malformed selector pattern: {pat!r} (must be a non-empty string)")
         object.__setattr__(self, "patterns", pats)
 
     def matches(self, name: str) -> bool:

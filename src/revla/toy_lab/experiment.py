@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..ood_eval import format_table
 from ..schedule import MergePlan, apply_stage, stage_boundaries
 from ..tensor_store import Checkpoint, Selector, save_checkpoint, select
 from .model import ENCODER_PATTERNS, ToyModel, forward
@@ -52,6 +53,12 @@ class LabConfig:
     probe_train_count: int = DEFAULT_PROBE_COUNT
     probe_heldout_count: int = DEFAULT_PROBE_COUNT
     eval_count: int = DEFAULT_PROBE_COUNT
+
+    def __post_init__(self) -> None:
+        for name in ("seed", "pretrain_steps", "finetune_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +217,4 @@ def render_comparison(reports: list[ExperimentReport]) -> str:
             f"{rep.taskB_final_err:.6f}",
             "yes" if rep.encoder_bitwise_reverted else "no",
         ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
+    return format_table(rows)

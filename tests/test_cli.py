@@ -151,6 +151,55 @@ def test_schedule_from_config_file(tmp_path):
     assert payload["selector"] == ["vision.dino.*"]
 
 
+def test_schedule_flags_override_config_file(tmp_path):
+    config = tmp_path / "sched.json"
+    config.write_text(json.dumps({
+        "mode": "flip", "total_steps": 60, "selector": ["vision.dino.*"],
+    }))
+    out = tmp_path / "out.json"
+    assert main([
+        "schedule", "--config", str(config), "--total-steps", "100", "--select", "llm.*",
+        "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["total_steps"] == 100  # flag wins
+    assert payload["selector"] == ["llm.*"]  # flag wins
+    assert payload["mode"] == "flip"  # file wins over the default
+    assert payload["boundaries"] == [[0, 1.0]]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("lab", {"variant": "D_flip", "total_steps": 200.0}),
+    ("lab", {"variant": "D_flip", "pretrain_steps": True}),
+    ("lab", {"variant": "D_flip", "seed": "7"}),
+    ("lab", {"variant": "D_flip", "seed": -1}),
+    ("lab", ["D_flip"]),
+    ("lab", {"variant": "D_flip", "learning_rate": 0.1}),
+    ("schedule", {"mode": "gradual", "total_steps": "60", "stage_length": 20}),
+    ("schedule", {"mode": "gradual", "total_steps": 60.0, "stage_length": 20}),
+    ("schedule", {"mode": "gradual", "total_steps": 60, "stage_length": True}),
+    ("schedule", {"mode": "gradual", "stage_length": 20}),
+    ("schedule", [1, 2]),
+    ("schedule", {"mode": "gradual", "total_steps": 60, "stage_length": 20, "groups": ["a"]}),
+    ("schedule", {"mode": "gradual", "total_steps": 60, "stage_length": 20,
+                  "selector": "vision.dino.*"}),
+], ids=[
+    "lab-float-total", "lab-bool-pretrain", "lab-str-seed", "lab-negative-seed", "lab-list",
+    "lab-unknown-key",
+    "sched-str-total", "sched-float-total", "sched-bool-stage", "sched-no-total", "sched-list",
+    "sched-unknown-key", "sched-str-selector",
+])
+def test_bad_config_fails_with_one_line(command, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 LAB_FAST = [
     "--total-steps", "200", "--stage-length", "100",
     "--pretrain-steps", "300", "--finetune-steps", "300",

@@ -339,6 +339,8 @@ def test_selector_literal_pattern_matches_exactly():
 def test_selector_rejects_empty_pattern():
     with pytest.raises(ValueError, match="malformed selector pattern"):
         Selector([""])
+    with pytest.raises(ValueError, match="must be a list or tuple"):
+        Selector("vision.dino.*")
 
 
 def test_select_on_checkpoint_is_ordered():
