@@ -43,6 +43,7 @@ from .tensor_store import (
     Selector,
     load_checkpoint,
     save_checkpoint,
+    select,
     serialize_checkpoint,
 )
 from .toy_lab import LabConfig, render_comparison, run_reversal_experiment
@@ -83,7 +84,10 @@ def _settings(args: argparse.Namespace) -> dict:
     """
     settings = {}
     if args.config:
-        settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.command} config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise ValueError(f"{args.command} config must be a JSON object")
         unknown = set(settings) - set(_CONFIG_KEYS[args.command])
@@ -125,9 +129,12 @@ def cmd_merge(args: argparse.Namespace) -> int:
     current = load_checkpoint(args.current)
     pretrained = load_checkpoint(args.pretrained)
     spec = MergeSpec(args.alpha, Selector(args.select or ["*"]))
+    selected = select(current, spec.selector)
+    if not selected:
+        prefixes = sorted({name.split(".")[0] for name in current})
+        raise ValueError(f"--select matched no tensors; top-level prefixes: {prefixes}")
     merged = linear_merge(current, pretrained, spec)
     save_checkpoint(merged, args.out)
-    selected = [n for n in merged.names() if spec.selector.matches(n)]
     logger.info("merged %d of %d tensors at alpha=%s", len(selected), len(merged), args.alpha)
     print(f"wrote {args.out}: {len(selected)} tensors merged at alpha={args.alpha}")
     return 0
@@ -186,8 +193,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     records = []
     for log_path in args.logs:
         records.extend(parse_episode_log(log_path))
-    if not records:
-        raise EvalLogError("no records")
     table = aggregate(records, args.metric)
     summary = partial_success_summary(records)
 

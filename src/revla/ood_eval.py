@@ -19,8 +19,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 OOD_OBJECTS = ("pear", "mustard_bottle", "tomato_can")
 IN_DOMAIN_OBJECT = "coke_can"
@@ -131,10 +133,6 @@ class EpisodeRecord:
         if self.lift_success and not self.grasp_success:
             raise ValueError("lift_success without grasp_success (a lift requires a grasp)")
 
-    @property
-    def scenario_key(self) -> tuple[str, str, str]:
-        return (self.target_object, self.setting, self.protocol)
-
     def to_json_obj(self) -> dict:
         return {
             "policy": self.policy,
@@ -156,13 +154,6 @@ class Cell:
     grasp_successes: int = 0
     lift_successes: int = 0
 
-    def merged(self, other: "Cell") -> "Cell":
-        return Cell(
-            self.episodes + other.episodes,
-            self.grasp_successes + other.grasp_successes,
-            self.lift_successes + other.lift_successes,
-        )
-
     def successes(self, metric: str) -> int:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -172,7 +163,27 @@ class Cell:
         return round_rate(self.successes(metric), self.episodes)
 
 
+def _sum_cells(cells: Iterable[Cell]) -> Cell:
+    episodes = grasps = lifts = 0
+    for cell in cells:
+        episodes += cell.episodes
+        grasps += cell.grasp_successes
+        lifts += cell.lift_successes
+    return Cell(episodes, grasps, lifts)
+
+
 CellKey = tuple[str, str, str, str, str | None]  # policy, object, setting, protocol, sub
+_CELL_KEY_FIELDS = ("policy", "target_object", "setting", "protocol", "sub_setting")
+
+
+def _tally(records: Iterable[EpisodeRecord], key: Callable[[EpisodeRecord], Hashable]) -> dict:
+    """Episode, grasp and lift counts of ``records`` grouped by ``key``."""
+    counts: dict[Hashable, tuple[int, int, int]] = {}
+    for r in records:
+        k = key(r)
+        episodes, grasps, lifts = counts.get(k, (0, 0, 0))
+        counts[k] = (episodes + 1, grasps + r.grasp_success, lifts + r.lift_success)
+    return {k: Cell(*c) for k, c in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -182,60 +193,46 @@ class SuccessTable:
     metric: str
     cells: Mapping[CellKey, Cell]
 
-    def policies(self) -> list[str]:
-        return sorted({key[0] for key in self.cells})
+    @cached_property
+    def _by_policy(self) -> dict[str, list[tuple[CellKey, Cell]]]:
+        grouped: dict[str, list[tuple[CellKey, Cell]]] = {}
+        for key, cell in self.cells.items():
+            grouped.setdefault(key[0], []).append((key, cell))
+        return grouped
 
-    def objects(self, policy: str | None = None) -> list[str]:
-        return sorted({k[1] for k in self.cells if policy is None or k[0] == policy})
+    def policies(self) -> list[str]:
+        return sorted(self._by_policy)
 
     def counts(
         self,
-        policy: str | None = None,
+        policy: str,
         target_object: str | None = None,
         setting: str | None = None,
         protocol: str | None = None,
         sub_setting: str | None = None,
     ) -> Cell:
-        """Merged raw counts over every cell matching the given filters."""
-        total = Cell()
-        for (pol, obj, sett, proto, sub), cell in self.cells.items():
-            if policy is not None and pol != policy:
-                continue
-            if target_object is not None and obj != target_object:
-                continue
-            if setting is not None and sett != setting:
-                continue
-            if protocol is not None and proto != protocol:
-                continue
-            if sub_setting is not None and sub != sub_setting:
-                continue
-            total = total.merged(cell)
-        return total
+        """Summed raw counts over the policy's cells matching the given filters."""
+        return _sum_cells(
+            cell for (_, obj, sett, proto, sub), cell in self._by_policy.get(policy, ())
+            if (target_object is None or obj == target_object)
+            and (setting is None or sett == setting)
+            and (protocol is None or proto == protocol)
+            and (sub_setting is None or sub == sub_setting)
+        )
 
     def rate(self, policy: str, target_object: str, setting: str, **filters) -> float:
         return self.counts(policy, target_object, setting, **filters).rate(self.metric)
 
-    def setting_rate(self, policy: str, setting: str) -> float:
-        return self.counts(policy, setting=setting).rate(self.metric)
-
     def total_rate(self, policy: str) -> float:
         return self.counts(policy).rate(self.metric)
 
-    def grasp_rate(self, policy: str) -> float:
-        return self.counts(policy).rate(METRIC_GRASP)
-
-    def lift_rate(self, policy: str) -> float:
-        return self.counts(policy).rate(METRIC_LIFT)
-
     def sub_setting_rates(self, policy: str, target_object: str, protocol: str) -> dict[str, float]:
         """Per-sub-setting rates plus their episode-weighted average."""
-        subs = sorted(
-            {k[4] for k in self.cells if k[0] == policy and k[1] == target_object and k[3] == protocol and k[4]}
-        )
-        out = {
-            sub: self.counts(policy, target_object, protocol=protocol, sub_setting=sub).rate(self.metric)
-            for sub in subs
-        }
+        out = {}
+        for sub in sorted({key[4] for key, _ in self._by_policy.get(policy, ()) if key[4]}):
+            counts = self.counts(policy, target_object, protocol=protocol, sub_setting=sub)
+            if counts.episodes:
+                out[sub] = counts.rate(self.metric)
         out["average"] = self.counts(policy, target_object, protocol=protocol).rate(self.metric)
         return out
 
@@ -257,15 +254,15 @@ class SuccessTable:
             })
         policies = {}
         for policy in self.policies():
+            total = self.counts(policy)
             policies[policy] = {
-                "single": self.setting_rate(policy, SETTING_SINGLE)
-                if self.counts(policy, setting=SETTING_SINGLE).episodes else None,
-                "distractor": self.setting_rate(policy, SETTING_DISTRACTOR)
-                if self.counts(policy, setting=SETTING_DISTRACTOR).episodes else None,
-                "total": self.total_rate(policy),
-                "grasp_rate": self.grasp_rate(policy),
-                "lift_rate": self.lift_rate(policy),
+                "total": total.rate(self.metric),
+                "grasp_rate": total.rate(METRIC_GRASP),
+                "lift_rate": total.rate(METRIC_LIFT),
             }
+            for setting in SETTINGS:
+                counts = self.counts(policy, setting=setting)
+                policies[policy][setting] = counts.rate(self.metric) if counts.episodes else None
         return {"metric": self.metric, "cells": cells, "policies": policies}
 
 
@@ -313,27 +310,15 @@ def aggregate(
         raise ValueError(f"unknown metric {success_field!r}; expected one of {METRICS}")
     if not records:
         raise EvalLogError("no records")
+    cells = _tally(records, attrgetter(*_CELL_KEY_FIELDS))
     declared = {spec.key for spec in (scenario_suite() if scenarios is None else scenarios)}
-    unknown = sorted({r.scenario_key for r in records} - declared)
+    unknown = sorted({key[1:4] for key in cells} - declared)
     if unknown:
         raise UnknownScenarioError(f"records reference undeclared scenarios: {unknown}")
-    seen = Counter(
-        (r.policy, r.target_object, r.setting, r.protocol, r.sub_setting, r.episode)
-        for r in records
-    )
+    seen = Counter(map(attrgetter(*_CELL_KEY_FIELDS, "episode"), records))
     dupes = sorted(key for key, n in seen.items() if n > 1)
     if dupes:
         raise DuplicateEpisodeError(f"duplicate episode ids: {dupes}")
-
-    cells: dict[CellKey, Cell] = {}
-    for r in records:
-        key = (r.policy, r.target_object, r.setting, r.protocol, r.sub_setting)
-        cell = cells.get(key, Cell())
-        cells[key] = Cell(
-            cell.episodes + 1,
-            cell.grasp_successes + int(r.grasp_success),
-            cell.lift_successes + int(r.lift_success),
-        )
     return SuccessTable(success_field, cells)
 
 
@@ -341,17 +326,9 @@ def partial_success_summary(records: Sequence[EpisodeRecord]) -> dict[str, tuple
     """Overall (grasp rate, lift rate) per policy across all records."""
     if not records:
         raise EvalLogError("no records")
-    totals: dict[str, Cell] = {}
-    for r in records:
-        cell = totals.get(r.policy, Cell())
-        totals[r.policy] = Cell(
-            cell.episodes + 1,
-            cell.grasp_successes + int(r.grasp_success),
-            cell.lift_successes + int(r.lift_success),
-        )
     return {
         policy: (cell.rate(METRIC_GRASP), cell.rate(METRIC_LIFT))
-        for policy, cell in sorted(totals.items())
+        for policy, cell in sorted(_tally(records, attrgetter("policy")).items())
     }
 
 
@@ -471,11 +448,8 @@ def render_ood_table(table: SuccessTable) -> str:
     records into the same log does not skew this view.
     """
 
-    def ood_counts(policy: str, setting: str | None) -> Cell:
-        total = Cell()
-        for obj in OOD_OBJECTS:
-            total = total.merged(table.counts(policy, obj, setting))
-        return total
+    def rate_text(counts: Cell) -> str:
+        return _fmt(counts.rate(table.metric)) if counts.episodes else "-"
 
     header = ["policy"]
     for setting in SETTINGS:
@@ -484,15 +458,11 @@ def render_ood_table(table: SuccessTable) -> str:
     rows = [tuple(header)]
     for policy in table.policies():
         row = [policy]
-        for setting in SETTINGS:
-            for obj in OOD_OBJECTS:
-                counts = table.counts(policy, obj, setting)
-                row.append(_fmt(counts.rate(table.metric)) if counts.episodes else "-")
-        for setting in SETTINGS:
-            counts = ood_counts(policy, setting)
-            row.append(_fmt(counts.rate(table.metric)) if counts.episodes else "-")
-        overall = ood_counts(policy, None)
-        row.append(_fmt(overall.rate(table.metric)) if overall.episodes else "-")
+        row += [rate_text(table.counts(policy, obj, setting)) for setting in SETTINGS for obj in OOD_OBJECTS]
+        row += [
+            rate_text(_sum_cells(table.counts(policy, obj, setting) for obj in OOD_OBJECTS))
+            for setting in SETTINGS + (None,)
+        ]
         rows.append(tuple(row))
     return format_table(rows)
 

@@ -268,7 +268,6 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
         metadata = raw_meta
 
     metas: list[TensorMeta] = []
-    prev_end = 0
     for name, entry in header.items():
         if not isinstance(entry, dict):
             raise CheckpointFormatError(f"tensor {name!r}: entry must be an object")
@@ -306,13 +305,29 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
                 f"tensor {name!r}: byte range [{start}, {end}) does not match "
                 f"shape {shape} of dtype {tag}"
             )
+        metas.append(TensorMeta(name, dtype, tuple(shape), (start, end)))
+
+    # Header keys may come in any order; in offset order the ranges must
+    # tile the data section exactly.
+    metas.sort(key=lambda meta: meta.byte_range)
+    prev_end = 0
+    for meta in metas:
+        start, end = meta.byte_range
         if start < prev_end:
             raise CheckpointFormatError(
-                f"tensor {name!r}: byte range [{start}, {end}) overlaps or is not "
-                f"in ascending order (previous tensor ends at {prev_end})"
+                f"tensor {meta.name!r}: byte range [{start}, {end}) overlaps "
+                f"the previous tensor, which ends at {prev_end}"
+            )
+        if start > prev_end:
+            raise CheckpointFormatError(
+                f"tensor {meta.name!r}: gap in data section "
+                f"(range starts at {start}, previous tensor ends at {prev_end})"
             )
         prev_end = end
-        metas.append(TensorMeta(name, dtype, tuple(shape), (start, end)))
+    if prev_end != data_len:
+        raise CheckpointFormatError(
+            f"trailing bytes: tensors cover {prev_end} of {data_len} data section bytes"
+        )
     return metas, metadata
 
 

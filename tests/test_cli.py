@@ -90,6 +90,19 @@ def test_merge_midpoint_matches_scalar_oracle_file(checkpoint_pair, tmp_path):
     assert out.read_bytes() == oracle_path.read_bytes()
 
 
+def test_merge_selection_matching_nothing_fails(checkpoint_pair, tmp_path, capsys):
+    _, _, cur_path, pre_path = checkpoint_pair
+    out = tmp_path / "merged.st"
+    code = main([
+        "merge", str(cur_path), str(pre_path), "--alpha", "0.5", "--select", "vision.clip.*",
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: --select matched no tensors; top-level prefixes: ['llm', 'vision']\n"
+    assert not out.exists()
+
+
 def test_merge_incompatible_prints_full_report(tmp_path, capsys):
     a, b = tmp_path / "a.st", tmp_path / "b.st"
     save_checkpoint(Checkpoint({"w": np.zeros(3)}), a)
@@ -183,21 +196,26 @@ def test_schedule_flags_override_config_file(tmp_path):
     ("schedule", {"mode": "gradual", "total_steps": 60, "stage_length": 20, "groups": ["a"]}),
     ("schedule", {"mode": "gradual", "total_steps": 60, "stage_length": 20,
                   "selector": "vision.dino.*"}),
+    ("lab", '{"total_steps": 60,}'),
+    ("schedule", '{"total_steps": 60,}'),
 ], ids=[
     "lab-float-total", "lab-bool-pretrain", "lab-str-seed", "lab-negative-seed", "lab-list",
     "lab-unknown-key",
     "sched-str-total", "sched-float-total", "sched-bool-stage", "sched-no-total", "sched-list",
-    "sched-unknown-key", "sched-str-selector",
+    "sched-unknown-key", "sched-str-selector", "lab-invalid-json", "sched-invalid-json",
 ])
 def test_bad_config_fails_with_one_line(command, config, tmp_path, capsys):
+    """A config given as a string is written as raw text, anything else as JSON."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+    if isinstance(config, str):
+        assert f"{command} config {path} is not valid JSON" in err
 
 
 LAB_FAST = [

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
 import pytest
 
 from revla.ood_eval import (
+    Cell,
     DuplicateEpisodeError,
     EpisodeRecord,
     EvalLogError,
@@ -80,8 +82,8 @@ def test_openvla_row_reproduces_published_cells():
     assert table.rate("OpenVLA", "pear", "distractor") == 0.056
     assert table.rate("OpenVLA", "mustard_bottle", "distractor") == 0.028
     assert table.rate("OpenVLA", "tomato_can", "distractor") == 0.222
-    assert table.setting_rate("OpenVLA", "single") == 0.222
-    assert table.setting_rate("OpenVLA", "distractor") == 0.102
+    assert table.counts("OpenVLA", setting="single").rate("lift") == 0.222
+    assert table.counts("OpenVLA", setting="distractor").rate("lift") == 0.102
     assert table.total_rate("OpenVLA") == 0.162
 
 
@@ -98,8 +100,8 @@ def test_rt1x_row_with_explicit_episode_counts():
     assert table.rate("RT1-X", "pear", "single") == 0.222
     assert table.rate("RT1-X", "tomato_can", "single") == 0.118
     assert table.rate("RT1-X", "tomato_can", "distractor") == 0.059
-    assert table.setting_rate("RT1-X", "single") == 0.113
-    assert table.setting_rate("RT1-X", "distractor") == 0.075
+    assert table.counts("RT1-X", setting="single").rate("lift") == 0.113
+    assert table.counts("RT1-X", setting="distractor").rate("lift") == 0.075
     assert table.total_rate("RT1-X") == 0.094
 
 
@@ -159,7 +161,8 @@ def test_grasp_rate_never_below_lift_rate():
         assert grasp >= lift
     table = aggregate(records)
     for policy in table.policies():
-        assert table.grasp_rate(policy) >= table.lift_rate(policy)
+        counts = table.counts(policy)
+        assert counts.rate("grasp") >= counts.rate("lift")
 
 
 def test_relative_improvement_published_claims():
@@ -198,6 +201,40 @@ def test_concatenation_aggregates_to_weighted_mean():
         + cb.episodes * (cb.lift_successes / cb.episodes)
     ) / cc.episodes
     assert cc.lift_successes / cc.episodes == pytest.approx(weighted, abs=1e-15)
+
+
+def test_counts_match_brute_force_recount():
+    records = (
+        ood_records("OpenVLA", OPENVLA_LIFTS)
+        + ood_records("ReVLA", REVLA_GRADUAL_LIFTS, grasps=REVLA_GRADUAL_GRASPS)
+        + in_domain_records("OpenVLA", {"horizontal": 31, "vertical": 3, "standing": 19})
+        + in_domain_records("Octo", {"horizontal": 5, "standing": 2}, episodes=20)
+    )
+    for protocol in ("visual_matching", "variant_aggregation"):
+        records += expand_cell("ReVLA", "coke_can", "single", episodes=10, lift_successes=4,
+                               grasp_successes=7, protocol=protocol, sub_setting="vertical")
+    table = aggregate(records)
+    objects = [None, *OBJECTS, "coke_can"]
+    settings = [None, "single", "distractor"]
+    protocols = [None, "visual_matching", "variant_aggregation"]
+    subs = [None, "horizontal", "vertical", "standing"]
+    for policy in ("OpenVLA", "ReVLA", "Octo", "absent"):
+        for obj, setting, protocol, sub in itertools.product(objects, settings, protocols, subs):
+            matching = [
+                r for r in records
+                if r.policy == policy
+                and obj in (None, r.target_object)
+                and setting in (None, r.setting)
+                and protocol in (None, r.protocol)
+                and sub in (None, r.sub_setting)
+            ]
+            expected = Cell(
+                len(matching),
+                sum(r.grasp_success for r in matching),
+                sum(r.lift_success for r in matching),
+            )
+            assert table.counts(policy, obj, setting, protocol, sub) == expected
+    assert table.counts("absent") == Cell(0, 0, 0)
 
 
 def test_round_trip_through_rounded_rates():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -158,16 +159,33 @@ def test_overlapping_ranges_rejected(tmp_path):
         load_checkpoint(write_file(tmp_path, raw))
 
 
-def test_non_ascending_ranges_rejected(tmp_path):
+def test_non_ascending_ranges_load_as_canonical(tmp_path):
     header = {
         "a": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]},
         "b": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
     }
     raw = build_file_bytes(
-        [("pad", np.zeros(2, dtype=np.float32))],
+        [("b", np.float32([2.0])), ("a", np.float32([1.0]))],
         header_override=json.dumps(header, separators=(",", ":")).encode(),
     )
-    with pytest.raises(CheckpointFormatError, match="ascending"):
+    ckpt = load_checkpoint(write_file(tmp_path, raw))
+    canonical = Checkpoint({"a": np.float32([1.0]), "b": np.float32([2.0])})
+    assert ckpt == canonical
+
+
+@pytest.mark.parametrize("offsets, data_floats, message", [
+    ({"a": [0, 4], "b": [8, 12]}, 3, "'b': gap in data section"),
+    ({"a": [4, 8], "b": [8, 12]}, 3, "'a': gap in data section"),
+    ({"a": [0, 4], "b": [4, 8]}, 3, "trailing bytes: tensors cover 8 of 12"),
+    ({}, 1, "trailing bytes: tensors cover 0 of 4"),
+], ids=["gap-between", "gap-at-start", "trailing", "trailing-no-tensors"])
+def test_gaps_and_trailing_bytes_rejected(offsets, data_floats, message, tmp_path):
+    header = {name: {"dtype": "F32", "shape": [1], "data_offsets": r} for name, r in offsets.items()}
+    raw = build_file_bytes(
+        [("pad", np.zeros(data_floats, dtype=np.float32))],
+        header_override=json.dumps(header, separators=(",", ":")).encode(),
+    )
+    with pytest.raises(CheckpointFormatError, match=re.escape(message)):
         load_checkpoint(write_file(tmp_path, raw))
 
 
