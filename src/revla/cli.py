@@ -103,7 +103,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     rows = []
     for meta in ckpt.metas():
-        digest = hashlib.sha256(ckpt[meta.name].tobytes()).hexdigest()
+        digest = hashlib.sha256(ckpt[meta.name]).hexdigest()
         rows.append({
             "name": meta.name,
             "dtype": "f32" if meta.dtype.itemsize == 4 else "f64",

@@ -316,7 +316,9 @@ def aggregate(
     if unknown:
         raise UnknownScenarioError(f"records reference undeclared scenarios: {unknown}")
     seen = Counter(map(attrgetter(*_CELL_KEY_FIELDS, "episode"), records))
-    dupes = sorted(key for key, n in seen.items() if n > 1)
+    # sub_setting may be None in one key and a string in another
+    dupes = sorted((key for key, n in seen.items() if n > 1),
+                   key=lambda k: [(p is not None, p) for p in k])
     if dupes:
         raise DuplicateEpisodeError(f"duplicate episode ids: {dupes}")
     return SuccessTable(success_field, cells)

@@ -16,6 +16,7 @@ checkpoint's contents.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -44,10 +45,6 @@ class TensorMeta:
     shape: tuple[int, ...]
     byte_range: tuple[int, int]
 
-    @property
-    def nbytes(self) -> int:
-        return self.byte_range[1] - self.byte_range[0]
-
 
 def _expected_nbytes(dtype: np.dtype, shape: tuple[int, ...]) -> int:
     count = 1
@@ -59,9 +56,10 @@ def _expected_nbytes(dtype: np.dtype, shape: tuple[int, ...]) -> int:
 class Checkpoint:
     """Immutable, name-ordered collection of dense float tensors.
 
-    Tensor buffers are copied on construction and marked read-only, so a
-    loaded checkpoint can be shared across workers without defensive copies.
-    Iteration order is always lexicographic by name.
+    Every tensor is a C-contiguous array whose ``base`` is an immutable
+    ``bytes`` object, so it can never be made writable. Such arrays are
+    adopted and shared; anything else is copied once. A loaded checkpoint's
+    tensors view the file's bytes and keep them alive. Iteration is by name.
     """
 
     def __init__(
@@ -81,8 +79,8 @@ class Checkpoint:
                     f"tensor {name!r}: unsupported dtype {arr.dtype}; "
                     "only f32 and f64 are stored"
                 )
-            arr = np.array(arr, dtype=arr.dtype, order="C", copy=True)
-            arr.flags.writeable = False
+            if not (isinstance(arr.base, bytes) and arr.flags.c_contiguous):
+                arr = np.ndarray(arr.shape, arr.dtype, buffer=arr.tobytes())
             frozen[name] = arr
         self._tensors = frozen
         if metadata is not None:
@@ -345,18 +343,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"malformed header length: header of {header_len} bytes exceeds "
             f"file size {len(raw)}"
         )
-    data = raw[data_start:]
-    metas, metadata = _parse_header(raw[_HEADER_LEN_SIZE:data_start], len(data))
-    tensors: dict[str, np.ndarray] = {}
-    for meta in metas:
-        start, end = meta.byte_range
-        arr = np.frombuffer(data[start:end], dtype=meta.dtype).reshape(meta.shape)
-        tensors[meta.name] = arr
+    metas, metadata = _parse_header(raw[_HEADER_LEN_SIZE:data_start], len(raw) - data_start)
+    tensors = {
+        meta.name: np.ndarray(meta.shape, meta.dtype, raw, data_start + meta.byte_range[0])
+        for meta in metas
+    }
     return Checkpoint(tensors, metadata or None)
 
 
-def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
-    """Canonical byte serialization; equal checkpoints yield equal bytes."""
+def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes | memoryview]:
+    """The canonical file in order: length-prefixed padded header, then each tensor's buffer."""
     header: dict[str, object] = {}
     if ckpt.metadata:
         header[_METADATA_KEY] = ckpt.metadata
@@ -368,14 +364,29 @@ def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
         }
     blob = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     blob += b" " * (-len(blob) % 8)
-    parts = [struct.pack("<Q", len(blob)), blob]
+    yield struct.pack("<Q", len(blob)) + blob
     for name in ckpt.names():
         arr = ckpt[name]
-        parts.append(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
-    return b"".join(parts)
+        yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data
+
+
+def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
+    """Canonical byte serialization; equal checkpoints yield equal bytes."""
+    return b"".join(_canonical_parts(ckpt))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write the canonical serialization of ``ckpt`` to ``path``."""
-    data = serialize_checkpoint(ckpt)
-    Path(path).write_bytes(data)
+    """Write the canonical serialization of ``ckpt`` to ``path``, replacing it atomically.
+
+    The bytes go to a new file beside ``path`` that is renamed over it once
+    complete, so a failed write leaves an existing ``path`` as it was.
+    """
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines(_canonical_parts(ckpt))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -366,6 +366,20 @@ def test_eval_schema_violation_names_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_eval_duplicates_with_and_without_sub_setting_fail_with_one_line(tmp_path, capsys):
+    records = []
+    for sub_setting in (None, None, "vertical", "vertical"):
+        records += expand_cell("OpenVLA", "coke_can", "single", episodes=2, lift_successes=1,
+                               sub_setting=sub_setting)
+    log = tmp_path / "dupes.jsonl"
+    write_episode_log(records, log)
+    code = main(["eval", str(log), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate episode ids: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_eval_is_idempotent(tmp_path):
     log = tmp_path / "openvla.jsonl"
     _write_openvla_log(log)
@@ -385,3 +399,13 @@ def test_merged_checkpoint_loads_back(checkpoint_pair, tmp_path):
     merged = load_checkpoint(out)
     current = load_checkpoint(cur_path)
     assert merged["llm.w"].tobytes() == current["llm.w"].tobytes()
+
+
+def test_merge_may_overwrite_its_current_input(checkpoint_pair, tmp_path):
+    current, pretrained, cur_path, pre_path = checkpoint_pair
+    expected = tmp_path / "expected.st"
+    args = [str(cur_path), str(pre_path), "--alpha", "0.25", "--select", "vision.*"]
+    assert main(["merge", *args, "--out", str(expected)]) == 0
+    assert main(["merge", *args, "--out", str(cur_path)]) == 0
+    assert cur_path.read_bytes() == expected.read_bytes()
+    assert cur_path.read_bytes() != serialize_checkpoint(current)

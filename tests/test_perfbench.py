@@ -1,5 +1,5 @@
 """The benchmark's tracer wraps program attributes by name; they must exist
-and keep splitting an eval run into its layers."""
+and keep splitting checkpoint and eval runs into their layers."""
 
 from __future__ import annotations
 
@@ -50,3 +50,28 @@ def test_traced_eval_records_every_layer(monkeypatch, tmp_path):
     assert [name for name in EVAL_SPANS if name not in names] == []
     parse = [span for span in tracer.spans if span.name == "ood_eval.parse_episode_log"]
     assert [span.work for span in parse] == [len(records)]
+
+
+def test_traced_checkpoint_ops_record_every_layer(monkeypatch, tmp_path):
+    tracing = _tracing(monkeypatch)
+    inputs = importlib.import_module("inputs")
+    oracles = importlib.import_module("oracles")
+    pair = inputs.write_checkpoint_pair(tmp_path, 1, 64)
+    merged, report = tmp_path / "merged.safetensors", tmp_path / "inspect.json"
+    ops = {
+        "merge": ["merge", str(pair.current), str(pair.pretrained), "--alpha", str(inputs.MERGE_ALPHA),
+                  "--select", inputs.MERGE_SELECT, "--out", str(merged)],
+        "inspect": ["inspect", str(pair.current), "--out", str(report)],
+    }
+    tracer = tracing.Tracer()
+    for argv in ops.values():
+        code, _ = tracing.run_cli_inprocess(argv, tmp_path / "stdout.txt", tracer)
+        assert code == 0
+    spans = {op: sorted(s.name for s in tracer.spans if s.parent is not None and s.op == index)
+             for index, op in enumerate(ops)}
+    assert spans == {
+        "merge": ["merge.linear_merge", "tensor_store.load", "tensor_store.load", "tensor_store.save"],
+        "inspect": ["tensor_store.load", "tensor_store.serialize"],
+    }
+    oracles.check_merge(merged, pair)
+    oracles.check_inspect(report, pair)

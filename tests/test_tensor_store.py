@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revla.tensor_store as tensor_store
+from revla.merge import MergeSpec, linear_merge
 from revla.tensor_store import (
     Checkpoint,
     CheckpointFormatError,
@@ -255,6 +258,75 @@ def test_checkpoint_buffers_are_read_only():
     ckpt = Checkpoint({"w": np.zeros(3)})
     with pytest.raises(ValueError):
         ckpt["w"][0] = 1.0
+
+
+def _invariant_pair(tmp_path):
+    rng = np.random.default_rng(3)
+    names = [f"g{i // 4}.w{i % 4}" for i in range(16)]
+    current = Checkpoint({name: rng.standard_normal((256, 256)) for name in names})
+    pretrained = Checkpoint({name: rng.standard_normal((256, 256)) for name in names})
+    path = tmp_path / "current.st"
+    save_checkpoint(current, path)
+    return current, pretrained, path
+
+
+def test_tensors_cannot_be_made_writable(tmp_path):
+    current, pretrained, path = _invariant_pair(tmp_path)
+    merged = linear_merge(current, pretrained, MergeSpec(0.3, Selector(["g0.*"])))
+    for ckpt in (current, load_checkpoint(path), merged):
+        for name in ckpt:
+            with pytest.raises(ValueError):
+                ckpt[name].flags.writeable = True
+
+
+def test_construction_copies_a_writable_source():
+    source = np.arange(4, dtype=np.float64)
+    read_only_view = source[1:]
+    read_only_view.flags.writeable = False
+    ckpt = Checkpoint({"owner": source, "view": source[:2], "read_only_view": read_only_view})
+    source[:] = 5.0
+    assert ckpt["owner"].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert ckpt["view"].tolist() == [0.0, 1.0]
+    assert ckpt["read_only_view"].tolist() == [1.0, 2.0, 3.0]
+
+
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_and_merge_copy_each_byte_at_most_once(tmp_path):
+    # a load holds the file once; a merge copies only what it blends and
+    # shares every tensor it leaves alone
+    current, pretrained, path = _invariant_pair(tmp_path)
+    assert _traced_peak(load_checkpoint, path) <= 1.25 * path.stat().st_size
+    ckpt_bytes = sum(current[name].nbytes for name in current)
+    spec = MergeSpec(0.3, Selector(["g0.*"]))  # a quarter of the bytes
+    assert _traced_peak(linear_merge, current, pretrained, spec) <= 0.75 * ckpt_bytes
+
+
+def test_failed_save_leaves_target_untouched(tmp_path, monkeypatch):
+    ckpt = Checkpoint({"w": np.ones(3)})
+
+    canonical_parts = tensor_store._canonical_parts
+
+    def header_then_fail(ckpt):
+        yield next(canonical_parts(ckpt))
+        raise OSError("disk full")
+
+    existing, fresh = tmp_path / "existing.st", tmp_path / "fresh.st"
+    existing.write_bytes(b"old bytes")
+    monkeypatch.setattr(tensor_store, "_canonical_parts", header_then_fail)
+    for target in (existing, fresh):
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, target)
+    assert existing.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.st"]
 
 
 _names = st.lists(
