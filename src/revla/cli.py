@@ -175,14 +175,12 @@ def cmd_lab(args: argparse.Namespace) -> int:
     config = LabConfig(**settings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for plan in plans:
-        logger.info("running variant %s", plan.variant_name)
-        report = run_reversal_experiment(
-            plan, config, checkpoint_dir=out_dir if args.save_checkpoints else None
-        )
-        (out_dir / f"report_{plan.variant_name}.json").write_text(report.to_json(), encoding="utf-8")
-        reports.append(report)
+    logger.info("running variants %s", ", ".join(variants))
+    reports = run_reversal_experiment(
+        plans, config, checkpoint_dir=out_dir if args.save_checkpoints else None
+    )
+    for report in reports:
+        (out_dir / f"report_{report.variant_name}.json").write_text(report.to_json(), encoding="utf-8")
     comparison = render_comparison(reports)
     (out_dir / "comparison.txt").write_text(comparison, encoding="utf-8")
     print(comparison, end="")

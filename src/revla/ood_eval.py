@@ -16,7 +16,6 @@ log schema below can be scored here.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -176,13 +175,27 @@ CellKey = tuple[str, str, str, str, str | None]  # policy, object, setting, prot
 _CELL_KEY_FIELDS = ("policy", "target_object", "setting", "protocol", "sub_setting")
 
 
-def _tally(records: Iterable[EpisodeRecord], key: Callable[[EpisodeRecord], Hashable]) -> dict:
-    """Episode, grasp and lift counts of ``records`` grouped by ``key``."""
+def _tally(
+    records: Iterable[EpisodeRecord],
+    key: Callable[[EpisodeRecord], Hashable],
+    duplicates: set[tuple] | None = None,
+) -> dict:
+    """Episode, grasp and lift counts of ``records`` grouped by ``key``.
+
+    With ``duplicates`` given, each ``(*key, episode)`` that occurs more
+    than once is added to it.
+    """
     counts: dict[Hashable, tuple[int, int, int]] = {}
+    episode_ids: dict[Hashable, set[int]] = {}
     for r in records:
         k = key(r)
         episodes, grasps, lifts = counts.get(k, (0, 0, 0))
         counts[k] = (episodes + 1, grasps + r.grasp_success, lifts + r.lift_success)
+        if duplicates is not None:
+            ids = episode_ids[k] if episodes else episode_ids.setdefault(k, set())
+            if r.episode in ids:
+                duplicates.add((*k, r.episode))
+            ids.add(r.episode)
     return {k: Cell(*c) for k, c in counts.items()}
 
 
@@ -310,15 +323,14 @@ def aggregate(
         raise ValueError(f"unknown metric {success_field!r}; expected one of {METRICS}")
     if not records:
         raise EvalLogError("no records")
-    cells = _tally(records, attrgetter(*_CELL_KEY_FIELDS))
+    duplicates: set[tuple] = set()
+    cells = _tally(records, attrgetter(*_CELL_KEY_FIELDS), duplicates)
     declared = {spec.key for spec in (scenario_suite() if scenarios is None else scenarios)}
     unknown = sorted({key[1:4] for key in cells} - declared)
     if unknown:
         raise UnknownScenarioError(f"records reference undeclared scenarios: {unknown}")
-    seen = Counter(map(attrgetter(*_CELL_KEY_FIELDS, "episode"), records))
     # sub_setting may be None in one key and a string in another
-    dupes = sorted((key for key, n in seen.items() if n > 1),
-                   key=lambda k: [(p is not None, p) for p in k])
+    dupes = sorted(duplicates, key=lambda k: [(p is not None, p) for p in k])
     if dupes:
         raise DuplicateEpisodeError(f"duplicate episode ids: {dupes}")
     return SuccessTable(success_field, cells)

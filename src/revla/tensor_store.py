@@ -382,7 +382,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     complete, so a failed write leaves an existing ``path`` as it was.
     """
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except FileNotFoundError as exc:
+        # the directory is missing: name the path the caller asked for
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             fh.writelines(_canonical_parts(ckpt))

@@ -3,7 +3,9 @@
 Phase 1 pretrains encoder plus head "a" on task A and snapshots the result.
 Phase 2 fine-tunes encoder plus head "b" on task B, which damages the
 features task A relies on. Phase 3 trains head "b" with the encoder frozen
-while a merge plan steps the encoder back toward the phase-1 snapshot; each
+while a merge plan steps the encoder back toward the phase-1 snapshot.
+Phases 1 and 2 depend only on the config, so they run once per call and
+every plan's phase 3 starts from the same fine-tuned snapshot; each
 stage merges the original (fine-tuned, pretrained) pair, so the trajectory
 equals direct interpolation evaluated at every boundary alpha. Task-A probe
 error is measured after each phase.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,46 +123,63 @@ def _encoders_equal(a: Checkpoint, b: Checkpoint) -> bool:
     return all(a[n].tobytes() == b[n].tobytes() for n in names)
 
 
-def run_reversal_experiment(
-    plan: MergePlan,
-    config: LabConfig = LabConfig(),
-    on_stage: StageHook | None = None,
-    checkpoint_dir: str | Path | None = None,
-) -> ExperimentReport:
-    """Run pretrain, fine-tune, and staged reversal; probe task A throughout.
+@dataclass(frozen=True)
+class _SharedPhases:
+    """Phases 1 and 2, which depend on the config alone and not on the plan."""
 
-    ``on_stage`` is called after each boundary merge with (step, alpha,
-    full checkpoint). With ``checkpoint_dir`` set, the pretrained,
-    fine-tuned, and final checkpoints are written there.
-    """
-    task_a = TaskSpec(TASK_A_DEPTH, config.seed)
-    task_b = TaskSpec(TASK_B_ACTION, config.seed)
-    probe_kwargs = dict(
-        train_count=config.probe_train_count, heldout_count=config.probe_heldout_count
+    pretrained: Checkpoint
+    finetuned: Checkpoint
+    probe_err_pretrained: float
+    probe_err_after_finetune: float
+    pretrain_losses: list[float]
+    finetune_losses: list[float]
+
+
+def _probe(model: ToyModel, task: TaskSpec, config: LabConfig) -> float:
+    return probe_linear(
+        model, task, config.ridge_lambda,
+        train_count=config.probe_train_count, heldout_count=config.probe_heldout_count,
     )
 
-    model = ToyModel.initialize(config.seed)
+
+def _shared_phases(config: LabConfig) -> _SharedPhases:
+    """Pretrain on task A, fine-tune on task B, snapshot and probe after each."""
+    task_a = TaskSpec(TASK_A_DEPTH, config.seed)
+    task_b = TaskSpec(TASK_B_ACTION, config.seed)
     model, pretrain_losses = train(
-        model, task_a, config.pretrain_steps, config.learning_rate,
+        ToyModel.initialize(config.seed), task_a, config.pretrain_steps, config.learning_rate,
         batch_size=config.batch_size,
     )
     pretrained = model.to_checkpoint()
-    probe_pre = probe_linear(model, task_a, config.ridge_lambda, **probe_kwargs)
-
+    probe_pre = _probe(model, task_a, config)
     model, finetune_losses = train(
         model, task_b, config.finetune_steps, config.learning_rate,
         batch_size=config.batch_size,
     )
-    finetuned = model.to_checkpoint()
-    probe_ft = probe_linear(model, task_a, config.ridge_lambda, **probe_kwargs)
+    return _SharedPhases(
+        pretrained, model.to_checkpoint(), probe_pre, _probe(model, task_a, config),
+        pretrain_losses, finetune_losses,
+    )
 
+
+def _reverse(
+    plan: MergePlan,
+    config: LabConfig,
+    shared: _SharedPhases,
+    on_stage: StageHook | None,
+    checkpoint_dir: Path | None,
+) -> ExperimentReport:
+    """Phase 3 for one plan, starting from the fine-tuned snapshot."""
+    task_a = TaskSpec(TASK_A_DEPTH, config.seed)
+    task_b = TaskSpec(TASK_B_ACTION, config.seed)
+    model = ToyModel.from_checkpoint(shared.finetuned)
     boundaries = stage_boundaries(plan.schedule)
     encoder_freeze = Selector(ENCODER_PATTERNS)
     reversal_rng = stream_rng(task_b, STREAM_REVERSAL_TRAIN)
     reversal_losses: list[float] = []
     stage_length = plan.schedule.stage_length
     for step, alpha in boundaries:
-        merged = apply_stage(finetuned, pretrained, plan, step)
+        merged = apply_stage(shared.finetuned, shared.pretrained, plan, step)
         model.load_tensors(merged, select(merged, plan.selector))
         if on_stage is not None:
             on_stage(step, alpha, model.to_checkpoint())
@@ -169,35 +188,55 @@ def run_reversal_experiment(
             batch_size=config.batch_size, rng=reversal_rng,
         )
         reversal_losses.extend(stage_losses)
-    probe_rev = probe_linear(model, task_a, config.ridge_lambda, **probe_kwargs)
+    probe_rev = _probe(model, task_a, config)
 
     final = model.to_checkpoint()
     x_eval, y_eval = make_dataset(task_b, STREAM_EVAL, config.eval_count)
     task_b_err = float(np.mean((forward(model, x_eval, task_b.head) - y_eval) ** 2))
 
     if checkpoint_dir is not None:
-        out = Path(checkpoint_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(pretrained, out / f"{plan.variant_name}_pretrained.safetensors")
-        save_checkpoint(finetuned, out / f"{plan.variant_name}_finetuned.safetensors")
-        save_checkpoint(final, out / f"{plan.variant_name}_final.safetensors")
+        snapshots = {"pretrained": shared.pretrained, "finetuned": shared.finetuned, "final": final}
+        for label, ckpt in snapshots.items():
+            save_checkpoint(ckpt, checkpoint_dir / f"{plan.variant_name}_{label}.safetensors")
 
     return ExperimentReport(
         variant_name=plan.variant_name,
         seed=config.seed,
-        probe_err_pretrained=probe_pre,
-        probe_err_after_finetune=probe_ft,
+        probe_err_pretrained=shared.probe_err_pretrained,
+        probe_err_after_finetune=shared.probe_err_after_finetune,
         probe_err_after_reversal=probe_rev,
         taskB_final_err=task_b_err,
-        encoder_bitwise_reverted=_encoders_equal(final, pretrained),
+        encoder_bitwise_reverted=_encoders_equal(final, shared.pretrained),
         stage_alphas=list(boundaries),
         loss_curves={
-            "pretrain": pretrain_losses,
-            "finetune": finetune_losses,
+            "pretrain": list(shared.pretrain_losses),
+            "finetune": list(shared.finetune_losses),
             "reversal": reversal_losses,
         },
         config=config.to_dict(),
     )
+
+
+def run_reversal_experiment(
+    plans: Sequence[MergePlan],
+    config: LabConfig = LabConfig(),
+    on_stage: StageHook | None = None,
+    checkpoint_dir: str | Path | None = None,
+) -> list[ExperimentReport]:
+    """Pretrain and fine-tune once, then run each plan's staged reversal.
+
+    Returns one report per plan, in order; every plan reverts from the same
+    (fine-tuned, pretrained) pair, so each report equals that of a run with
+    the plan alone. ``on_stage`` is called after each boundary merge with
+    (step, alpha, full checkpoint). With ``checkpoint_dir`` set, each plan's
+    pretrained, fine-tuned, and final checkpoints are written there.
+    """
+    shared = _shared_phases(config)
+    out = None
+    if checkpoint_dir is not None:
+        out = Path(checkpoint_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    return [_reverse(plan, config, shared, on_stage, out) for plan in plans]
 
 
 def render_comparison(reports: list[ExperimentReport]) -> str:

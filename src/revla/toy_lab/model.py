@@ -148,3 +148,39 @@ def grad(
         for name in select(grads, freeze):
             grads[name] = np.zeros(PARAM_SHAPES[name])
     return grads
+
+
+def _predict_and_grad(
+    model: ToyModel, x: np.ndarray, targets: np.ndarray, head: str, trained: frozenset[str]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One pass of ``forward`` and ``grad`` for a training step.
+
+    Returns the head's predictions and the gradients of the ``trained``
+    parameters only, each bitwise equal to what ``forward`` and ``grad``
+    give; the encoder backward pass runs only if an encoder parameter is
+    trained. Inputs are taken as valid f64 arrays.
+    """
+    w, b = _head_params(model, head)
+    p = model.params
+    h1 = np.tanh(x @ p["vision.dino.layer1.weight"].T + p["vision.dino.layer1.bias"])
+    feats = np.tanh(h1 @ p["vision.dino.layer2.weight"].T + p["vision.dino.layer2.bias"])
+    preds = feats @ w.T + b
+
+    grads: dict[str, np.ndarray] = {}
+    dpred = 2.0 * (preds - targets) / targets.size
+    if f"head_{head}.weight" in trained:
+        grads[f"head_{head}.weight"] = dpred.T @ feats
+    if f"head_{head}.bias" in trained:
+        grads[f"head_{head}.bias"] = dpred.sum(axis=0)
+    if trained.isdisjoint(ENCODER_NAMES):
+        return preds, grads
+    dz2 = (dpred @ w) * (1.0 - feats * feats)
+    dz1 = (dz2 @ p["vision.dino.layer2.weight"]) * (1.0 - h1 * h1)
+    encoder_grads = {
+        "vision.dino.layer2.weight": dz2.T @ h1,
+        "vision.dino.layer2.bias": dz2.sum(axis=0),
+        "vision.dino.layer1.weight": dz1.T @ x,
+        "vision.dino.layer1.bias": dz1.sum(axis=0),
+    }
+    grads.update((name, g) for name, g in encoder_grads.items() if name in trained)
+    return preds, grads

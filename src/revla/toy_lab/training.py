@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor_store import Selector, select
-from .model import ToyModel, forward, grad
+from .model import ENCODER_NAMES, ToyModel, _predict_and_grad
 from .tasks import (
     STREAM_PROBE_HELDOUT,
     STREAM_PROBE_TRAIN,
@@ -58,20 +58,21 @@ def train(
     if rng is None:
         rng = stream_rng(task, STREAM_TRAIN)
     out = model.copy()
+    head = task.head
     frozen = set(select(out.params, freeze)) if freeze is not None else set()
+    # the other head's gradient is zero, so only these parameters ever move
+    trained = frozenset((f"head_{head}.weight", f"head_{head}.bias", *ENCODER_NAMES)) - frozen
     losses: list[float] = []
     for step in range(steps):
         x = sample_inputs(rng, batch_size)
         y = targets(task, x)
-        grads = grad(out, x, y, task.head, freeze)
-        preds = forward(out, x, task.head)
+        preds, grads = _predict_and_grad(out, x, y, head, trained)
         loss = float(np.mean((preds - y) ** 2))
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
         losses.append(loss)
         for name, g in grads.items():
-            if name not in frozen:
-                out.params[name] = out.params[name] - lr * g
+            out.params[name] = out.params[name] - lr * g
     return out, losses
 
 

@@ -63,10 +63,10 @@ _REPORT_CACHE: dict = {}
 def variant_reports() -> dict:
     """Full-scale runs of all four variants at the recorded CI seed, cached."""
     if not _REPORT_CACHE:
-        config = LabConfig(seed=CI_SEED)
-        for variant in ("D_flip", "D_gradual", "DS_flip", "DS_gradual"):
-            plan = plan_for_variant(variant, 5000, 500)
-            _REPORT_CACHE[variant] = run_reversal_experiment(plan, config)
+        plans = [plan_for_variant(variant, 5000, 500)
+                 for variant in ("D_flip", "D_gradual", "DS_flip", "DS_gradual")]
+        for report in run_reversal_experiment(plans, LabConfig(seed=CI_SEED)):
+            _REPORT_CACHE[report.variant_name] = report
     return _REPORT_CACHE
 
 

@@ -103,6 +103,16 @@ def test_merge_selection_matching_nothing_fails(checkpoint_pair, tmp_path, capsy
     assert not out.exists()
 
 
+def test_merge_into_missing_directory_names_the_target(checkpoint_pair, tmp_path, monkeypatch, capsys):
+    _, _, cur_path, pre_path = checkpoint_pair
+    monkeypatch.chdir(tmp_path)
+    code = main(["merge", str(cur_path), str(pre_path), "--alpha", "0.5", "--out", "missing/o.st"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 2] No such file or directory: 'missing/o.st'\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_merge_incompatible_prints_full_report(tmp_path, capsys):
     a, b = tmp_path / "a.st", tmp_path / "b.st"
     save_checkpoint(Checkpoint({"w": np.zeros(3)}), a)

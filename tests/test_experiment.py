@@ -26,10 +26,10 @@ def gradual_run(tmp_path_factory):
     stages = []
     plan = plan_for_variant("DS_gradual", 300, 100)
     report = run_reversal_experiment(
-        plan, FAST,
+        [plan], FAST,
         on_stage=lambda step, alpha, ckpt: stages.append((step, alpha, ckpt)),
         checkpoint_dir=out,
-    )
+    )[0]
     return plan, report, stages, out
 
 
@@ -37,8 +37,8 @@ def test_flip_restores_encoder_from_step_zero():
     stages = []
     plan = plan_for_variant("DS_flip", 300)
     report = run_reversal_experiment(
-        plan, FAST, on_stage=lambda step, alpha, ckpt: stages.append((step, alpha, ckpt))
-    )
+        [plan], FAST, on_stage=lambda step, alpha, ckpt: stages.append((step, alpha, ckpt))
+    )[0]
     assert report.encoder_bitwise_reverted
     assert stages[0][:2] == (0, 1.0)
     assert report.probe_err_after_reversal == report.probe_err_pretrained
@@ -67,6 +67,11 @@ def test_stage_states_equal_direct_interpolation(gradual_run):
         direct = linear_merge(finetuned, pretrained, MergeSpec(alpha, plan.selector))
         for name in select(direct, plan.selector):
             assert staged[name].tobytes() == direct[name].tobytes()
+    # phase 3 starts from the fine-tuned snapshot: before any reversal
+    # training, the tensors outside the plan are the fine-tuned ones
+    first_stage = stages[0][2]
+    for name in set(first_stage.names()) - set(select(first_stage, plan.selector)):
+        assert first_stage[name].tobytes() == finetuned[name].tobytes()
 
 
 def test_final_checkpoint_encoder_equals_pretrained(gradual_run):
@@ -83,7 +88,7 @@ def test_final_checkpoint_encoder_equals_pretrained(gradual_run):
 @pytest.mark.parametrize("variant", sorted(VARIANT_PLANS))
 def test_all_variants_revert_bitwise(variant):
     name, total, stage = VARIANT_PLANS[variant]
-    report = run_reversal_experiment(plan_for_variant(name, total, stage), FAST)
+    report = run_reversal_experiment([plan_for_variant(name, total, stage)], FAST)[0]
     assert report.encoder_bitwise_reverted
     assert report.probe_err_after_reversal == report.probe_err_pretrained
 
@@ -105,10 +110,35 @@ def test_report_fields_and_loss_curve_lengths(gradual_run):
     assert report.stage_alphas == [(0, 1 / 3), (100, 2 / 3), (200, 1.0)]
 
 
+def test_plans_sharing_one_call_match_separate_calls(tmp_path):
+    # the shared phases run once, yet every plan's report and checkpoints
+    # must equal those of a call with that plan alone
+    plans = [plan_for_variant(*VARIANT_PLANS[v]) for v in sorted(VARIANT_PLANS)]
+    together = run_reversal_experiment(plans, FAST, checkpoint_dir=tmp_path / "together")
+    assert [r.variant_name for r in together] == [p.variant_name for p in plans]
+    for plan, report in zip(plans, together):
+        alone = run_reversal_experiment([plan], FAST, checkpoint_dir=tmp_path / plan.variant_name)[0]
+        assert report.to_json() == alone.to_json()
+        for label in ("pretrained", "finetuned", "final"):
+            name = f"{plan.variant_name}_{label}.safetensors"
+            assert (tmp_path / "together" / name).read_bytes() == (
+                tmp_path / plan.variant_name / name).read_bytes()
+    assert len(list((tmp_path / "together").iterdir())) == 3 * len(plans)
+
+
+def test_reports_of_one_call_share_no_loss_list():
+    plans = [plan_for_variant("D_flip", 300), plan_for_variant("DS_gradual", 300, 100)]
+    first, second = run_reversal_experiment(plans, FAST)
+    before = second.to_json()
+    for curve in first.loss_curves.values():
+        curve.append(-1.0)
+    assert second.to_json() == before
+
+
 def test_experiment_is_bitwise_deterministic():
     plan = plan_for_variant("D_flip", 300)
-    first = run_reversal_experiment(plan, FAST)
-    second = run_reversal_experiment(plan, FAST)
+    first = run_reversal_experiment([plan], FAST)[0]
+    second = run_reversal_experiment([plan], FAST)[0]
     assert first.to_json() == second.to_json()
 
 

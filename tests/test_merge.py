@@ -91,6 +91,26 @@ def test_self_merge_is_identity_for_any_alpha():
         assert out == cur
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_equal_endpoints_are_compared_bit_for_bit(dtype):
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    signaling_nan = np.array([(0x7FF << 52) | 1 if bits.itemsize == 8 else 0x7F800001],
+                             dtype=bits).view(dtype)
+    values = np.concatenate([signaling_nan, np.array([-0.0, 0.1, 1e-300, -7.25], dtype=dtype)])
+    scalar = np.array(-0.0, dtype=dtype)
+    cur = Checkpoint({"w": values, "s": scalar})
+    pre = Checkpoint({"w": values.copy(), "s": scalar.copy()})
+    out = linear_merge(cur, pre, MergeSpec(0.3, ALL))
+    for name in ("w", "s"):
+        assert out[name].tobytes() == cur[name].tobytes()
+
+    # -0.0 and +0.0 are equal values but not equal bits, so they are blended
+    zeros = Checkpoint({"s": np.array(-0.0, dtype=dtype)}), Checkpoint({"s": np.array(0.0, dtype=dtype)})
+    out = linear_merge(*zeros, MergeSpec(0.3, ALL))["s"]
+    assert out.tobytes() == scalar_merge_oracle(zeros[0]["s"], zeros[1]["s"], 0.3).tobytes()
+    assert out.tobytes() != zeros[0]["s"].tobytes()
+
+
 def test_affine_in_alpha_exact_on_dyadic_grid():
     # small integers and dyadic alphas make the arithmetic exact, so the
     # midpoint must land exactly on the chord

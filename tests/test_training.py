@@ -5,20 +5,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from revla.tensor_store import Selector
+from revla.tensor_store import Selector, select
 from revla.toy_lab import (
+    PARAM_SHAPES,
     TASK_A_DEPTH,
     TASK_B_ACTION,
     TaskSpec,
     ToyModel,
     TrainingDiverged,
     fit_ridge_readout,
+    forward,
+    grad,
     make_dataset,
     probe_linear,
     readout_mse,
     train,
 )
-from revla.toy_lab.tasks import STREAM_EVAL, input_mask, targets
+from revla.toy_lab.model import ENCODER_NAMES, _predict_and_grad
+from revla.toy_lab.tasks import (
+    STREAM_EVAL,
+    STREAM_TRAIN,
+    input_mask,
+    sample_inputs,
+    stream_rng,
+    targets,
+)
+from revla.toy_lab.training import DEFAULT_BATCH_SIZE
 
 
 def params_bytes(model: ToyModel) -> dict[str, bytes]:
@@ -76,6 +88,42 @@ def test_training_is_deterministic():
     m2, l2 = train(ToyModel.initialize(4), task, 120, 1e-2)
     assert l1 == l2
     assert params_bytes(m1) == params_bytes(m2)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("freeze", [None, ["vision.*"], ["vision.dino.layer1.*", "head_*.bias"]])
+@pytest.mark.parametrize("task_id", [TASK_A_DEPTH, TASK_B_ACTION])
+def test_fused_step_matches_grad_and_forward_bitwise(task_id, freeze, seed):
+    # reference: the training loop written with the public forward and grad,
+    # two passes per step, applying every non-frozen gradient
+    task = TaskSpec(task_id, seed)
+    selector = Selector(freeze) if freeze is not None else None
+    frozen = set(select(PARAM_SHAPES, selector)) if selector is not None else set()
+    used = {f"head_{task.head}.weight", f"head_{task.head}.bias", *ENCODER_NAMES}
+    rng = stream_rng(task, STREAM_TRAIN)
+    model = ToyModel.initialize(seed)
+    ref, ref_losses = model.copy(), []
+    for _ in range(500):
+        x = sample_inputs(rng, DEFAULT_BATCH_SIZE)
+        y = targets(task, x)
+        grads = grad(ref, x, y, task.head, selector)
+        preds = forward(ref, x, task.head)
+        fused_preds, fused_grads = _predict_and_grad(ref, x, y, task.head, frozenset(used - frozen))
+        assert fused_preds.tobytes() == preds.tobytes()
+        assert set(fused_grads) == used - frozen
+        for name, g in grads.items():
+            if name in fused_grads:
+                assert fused_grads[name].tobytes() == g.tobytes(), name
+            else:
+                assert not np.any(g), name
+        ref_losses.append(float(np.mean((preds - y) ** 2)))
+        for name, g in grads.items():
+            if name not in frozen:
+                ref.params[name] = ref.params[name] - 1e-2 * g
+
+    trained, losses = train(model, task, 500, 1e-2, selector)
+    assert losses == ref_losses
+    assert params_bytes(trained) == params_bytes(ref)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
