@@ -19,9 +19,9 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 OOD_OBJECTS = ("pear", "mustard_bottle", "tomato_can")
 IN_DOMAIN_OBJECT = "coke_can"
@@ -107,10 +107,7 @@ class ScenarioSpec:
         return (self.target_object, self.setting, self.protocol)
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """One rollout's outcome; lifting implies a grasp happened first."""
-
+class _EpisodeFields(NamedTuple):
     policy: str
     target_object: str
     setting: str
@@ -120,17 +117,47 @@ class EpisodeRecord:
     lift_success: bool
     sub_setting: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.policy:
+
+class EpisodeRecord(_EpisodeFields):
+    """One rollout's outcome; lifting implies a grasp happened first.
+
+    An immutable named tuple: it indexes and compares like a plain tuple of
+    its field values.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        policy: str,
+        target_object: str,
+        setting: str,
+        protocol: str,
+        episode: int,
+        grasp_success: bool,
+        lift_success: bool,
+        sub_setting: str | None = None,
+    ) -> "EpisodeRecord":
+        if not policy:
             raise ValueError("policy must be a non-empty string")
-        if self.setting not in SETTINGS:
-            raise ValueError(f"unknown setting {self.setting!r}; expected one of {SETTINGS}")
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
-        if self.episode < 0:
-            raise ValueError(f"episode id must be non-negative, got {self.episode}")
-        if self.lift_success and not self.grasp_success:
+        if setting not in SETTINGS:
+            raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
+        if protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+        if episode < 0:
+            raise ValueError(f"episode id must be non-negative, got {episode}")
+        if lift_success and not grasp_success:
             raise ValueError("lift_success without grasp_success (a lift requires a grasp)")
+        return tuple.__new__(
+            cls,
+            (policy, target_object, setting, protocol, episode, grasp_success, lift_success,
+             sub_setting),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "EpisodeRecord":
+        # the inherited ``_make`` and ``_replace`` would skip the checks above
+        return cls(*iterable)
 
     def to_json_obj(self) -> dict:
         return {
@@ -419,17 +446,59 @@ def _record_from_json_obj(obj: dict) -> EpisodeRecord:
     )
 
 
+_JSON_WHITESPACE = " \t\n\r"
+_log_values = itemgetter(*LOG_FIELDS)
+_SETTING_CONSTANTS = {setting: setting for setting in SETTINGS}
+_PROTOCOL_CONSTANTS = {protocol: protocol for protocol in PROTOCOLS}
+
+
 def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
-    """Read a newline-delimited JSON episode log, naming every bad line."""
+    """Read a newline-delimited JSON episode log, naming every bad line.
+
+    A line holding exactly one valid record is decoded by the C scanner
+    behind ``json.loads`` and checked in place. Its policy, object and
+    sub-setting strings are shared with earlier records of the same call,
+    and its setting and protocol are the module's constants. Any other
+    non-blank line goes through ``json.loads`` and
+    ``_record_from_json_obj``, which accept the same records and word
+    every message.
+    """
     records: list[EpisodeRecord] = []
     problems: list[str] = []
+    scan_once = json.decoder.JSONDecoder().scan_once
+    shared: dict[str | None, str | None] = {}
+    share = shared.setdefault
+    new_record = tuple.__new__
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                obj, end = scan_once(line, 0)
+                if type(obj) is dict and len(obj) == len(LOG_FIELDS):
+                    policy, target, setting, protocol, episode, grasp, lift, sub = _log_values(obj)
+                else:
+                    policy = None
+            except (StopIteration, ValueError, KeyError):
+                policy = None
+            if (
+                type(policy) is str and policy
+                and not line[end:].strip(_JSON_WHITESPACE)
+                and type(target) is str
+                and type(setting) is str and (setting := _SETTING_CONSTANTS.get(setting))
+                and type(protocol) is str and (protocol := _PROTOCOL_CONSTANTS.get(protocol))
+                and type(episode) is int and episode >= 0
+                and type(grasp) is bool
+                and type(lift) is bool and (grasp or not lift)
+                and (sub is None or type(sub) is str)
+            ):
+                records.append(new_record(EpisodeRecord, (
+                    share(policy, policy), share(target, target), setting, protocol,
+                    episode, grasp, lift, share(sub, sub),
+                )))
+                continue
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                records.append(_record_from_json_obj(obj))
+                records.append(_record_from_json_obj(json.loads(line)))
             except (json.JSONDecodeError, ValueError) as exc:
                 problems.append(f"line {lineno}: {exc}")
     if problems:

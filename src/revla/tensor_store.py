@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 _HEADER_LEN_SIZE = 8
+_MAX_HEADER_LEN = 100_000_000  # the reference loader's limit
 _METADATA_KEY = "__metadata__"
 _DTYPE_FOR_TAG = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _TAG_FOR_DTYPE = {np.dtype(np.float32): "F32", np.dtype(np.float64): "F64"}
@@ -337,6 +338,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"malformed header length: file is only {len(raw)} bytes"
         )
     (header_len,) = struct.unpack("<Q", raw[:_HEADER_LEN_SIZE])
+    if header_len > _MAX_HEADER_LEN:
+        raise CheckpointFormatError(
+            f"malformed header length: header of {header_len} bytes exceeds "
+            f"the {_MAX_HEADER_LEN}-byte limit"
+        )
     data_start = _HEADER_LEN_SIZE + header_len
     if data_start > len(raw):
         raise CheckpointFormatError(

@@ -119,52 +119,36 @@ def grad(
     output dimensions. Parameters of the unused head get zero gradient, as
     does anything matched by ``freeze``.
     """
-    w, b = _head_params(model, head)
+    _head_params(model, head)  # an unknown head is reported before a bad batch
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("gradient requires a non-empty batch")
-    p = model.params
-    h1 = np.tanh(x @ p["vision.dino.layer1.weight"].T + p["vision.dino.layer1.bias"])
-    feats = np.tanh(h1 @ p["vision.dino.layer2.weight"].T + p["vision.dino.layer2.bias"])
-    preds = feats @ w.T + b
-    if preds.shape != targets.shape:
-        raise ValueError(f"targets shape {targets.shape} != predictions shape {preds.shape}")
-
-    grads = {name: np.zeros(shape) for name, shape in PARAM_SHAPES.items()}
-    dpred = 2.0 * (preds - targets) / targets.size
-    grads[f"head_{head}.weight"] = dpred.T @ feats
-    grads[f"head_{head}.bias"] = dpred.sum(axis=0)
-    dfeats = dpred @ w
-    dz2 = dfeats * (1.0 - feats * feats)
-    grads["vision.dino.layer2.weight"] = dz2.T @ h1
-    grads["vision.dino.layer2.bias"] = dz2.sum(axis=0)
-    dh1 = dz2 @ p["vision.dino.layer2.weight"]
-    dz1 = dh1 * (1.0 - h1 * h1)
-    grads["vision.dino.layer1.weight"] = dz1.T @ x
-    grads["vision.dino.layer1.bias"] = dz1.sum(axis=0)
-
-    if freeze is not None:
-        for name in select(grads, freeze):
-            grads[name] = np.zeros(PARAM_SHAPES[name])
-    return grads
+    frozen = select(PARAM_SHAPES, freeze) if freeze is not None else ()
+    trained = frozenset(PARAM_SHAPES).difference(frozen)
+    _, grads = _predict_and_grad(model, x, targets, head, trained)
+    return {
+        name: grads[name] if name in grads else np.zeros(shape)
+        for name, shape in PARAM_SHAPES.items()
+    }
 
 
 def _predict_and_grad(
     model: ToyModel, x: np.ndarray, targets: np.ndarray, head: str, trained: frozenset[str]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """One pass of ``forward`` and ``grad`` for a training step.
+    """The head's predictions and the gradients of the ``trained`` parameters, in one pass.
 
-    Returns the head's predictions and the gradients of the ``trained``
-    parameters only, each bitwise equal to what ``forward`` and ``grad``
-    give; the encoder backward pass runs only if an encoder parameter is
-    trained. Inputs are taken as valid f64 arrays.
+    The predictions are bitwise equal to what ``forward`` gives. The encoder
+    backward pass runs only if an encoder parameter is trained. Inputs are
+    taken as f64 arrays; ``grad`` checks them first.
     """
     w, b = _head_params(model, head)
     p = model.params
     h1 = np.tanh(x @ p["vision.dino.layer1.weight"].T + p["vision.dino.layer1.bias"])
     feats = np.tanh(h1 @ p["vision.dino.layer2.weight"].T + p["vision.dino.layer2.bias"])
     preds = feats @ w.T + b
+    if preds.shape != targets.shape:
+        raise ValueError(f"targets shape {targets.shape} != predictions shape {preds.shape}")
 
     grads: dict[str, np.ndarray] = {}
     dpred = 2.0 * (preds - targets) / targets.size

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revla.ood_eval import (
+    LOG_FIELDS,
+    PROTOCOLS,
+    SETTINGS,
     Cell,
     DuplicateEpisodeError,
     EpisodeRecord,
@@ -337,6 +344,193 @@ def test_parse_errors_name_line_numbers(tmp_path):
     assert flagged == ["2", "3", "4"]
     assert "lift requires a grasp" in message
     assert "missing fields" in message
+
+
+def test_record_is_an_immutable_named_tuple():
+    record = EpisodeRecord("p", "pear", "single", "visual_matching", 3, True, False)
+    assert record == ("p", "pear", "single", "visual_matching", 3, True, False, None)
+    assert record[4] == 3 and record.sub_setting is None
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.episode = 4
+    with pytest.raises(ValueError, match="episode id must be non-negative, got -1"):
+        EpisodeRecord("p", "pear", "single", "visual_matching", -1, True, False)
+    with pytest.raises(ValueError, match="policy must be a non-empty string"):
+        EpisodeRecord(policy="", target_object="pear", setting="single",
+                      protocol="visual_matching", episode=0, grasp_success=False,
+                      lift_success=False)
+    with pytest.raises(ValueError, match="lift requires a grasp"):
+        record._replace(lift_success=True, grasp_success=False)
+    assert record._replace(episode=5) == record[:4] + (5,) + record[5:]
+
+
+# --- parse against the plain per-line parser ----------------------------------------
+
+
+def _reference_record(obj):
+    """Field checks of the per-line parser: ``json.loads`` then these, in this order."""
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    missing = [f for f in LOG_FIELDS if f not in obj]
+    if missing:
+        raise ValueError(f"missing fields: {missing}")
+    extra = sorted(set(obj) - set(LOG_FIELDS))
+    if extra:
+        raise ValueError(f"unexpected fields: {extra}")
+    if not isinstance(obj["policy"], str):
+        raise ValueError("policy must be a string")
+    if not isinstance(obj["object"], str):
+        raise ValueError("object must be a string")
+    if not isinstance(obj["episode"], int) or isinstance(obj["episode"], bool):
+        raise ValueError("episode must be an integer")
+    for flag in ("grasp_success", "lift_success"):
+        if not isinstance(obj[flag], bool):
+            raise ValueError(f"{flag} must be a boolean")
+    if obj["sub_setting"] is not None and not isinstance(obj["sub_setting"], str):
+        raise ValueError("sub_setting must be a string or null")
+    if not obj["policy"]:
+        raise ValueError("policy must be a non-empty string")
+    if obj["setting"] not in SETTINGS:
+        raise ValueError(f"unknown setting {obj['setting']!r}; expected one of {SETTINGS}")
+    if obj["protocol"] not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {obj['protocol']!r}; expected one of {PROTOCOLS}")
+    if obj["episode"] < 0:
+        raise ValueError(f"episode id must be non-negative, got {obj['episode']}")
+    if obj["lift_success"] and not obj["grasp_success"]:
+        raise ValueError("lift_success without grasp_success (a lift requires a grasp)")
+    return tuple(obj[f] for f in LOG_FIELDS)
+
+
+def _reference_parse(path):
+    records, problems = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(_reference_record(json.loads(line)))
+            except (json.JSONDecodeError, ValueError) as exc:
+                problems.append(f"line {lineno}: {exc}")
+    if problems:
+        raise EvalLogError(f"invalid episode log {path}:\n" + "\n".join(problems))
+    return records
+
+
+_BAD_VALUES = {
+    "policy": ["", 3, None],
+    "object": [7, None, ["pear"]],
+    "setting": [1, ["single"], "Single", None],
+    "protocol": [0, "visual", ["visual_matching"]],
+    "episode": [True, -1, 1.0, "3", None],
+    "grasp_success": [1, "true", None],
+    "lift_success": [0, "false"],
+    "sub_setting": [3, ["vertical"], True],
+}
+
+
+@st.composite
+def _record_texts(draw):
+    grasp = draw(st.booleans())
+    obj = {
+        "policy": draw(st.sampled_from(["p", "OpenVLA", "ReVLA (Gradual)", "pol\u00e9"])),
+        "object": draw(st.sampled_from(["pear", "coke_can", ""])),
+        "setting": draw(st.sampled_from(SETTINGS)),
+        "protocol": draw(st.sampled_from(PROTOCOLS)),
+        "episode": draw(st.integers(0, 300)),
+        "grasp_success": grasp,
+        "lift_success": grasp and draw(st.booleans()),
+        "sub_setting": draw(st.sampled_from([None, "vertical", "horizontal"])),
+    }
+    fault = draw(st.sampled_from(
+        ["none"] * 4 + ["value", "lift_without_grasp", "extra", "missing", "duplicate"]))
+    if fault == "value":
+        field = draw(st.sampled_from(sorted(_BAD_VALUES)))
+        obj[field] = draw(st.sampled_from(_BAD_VALUES[field]))
+    elif fault == "lift_without_grasp":
+        obj["grasp_success"], obj["lift_success"] = False, True
+    elif fault == "extra":
+        obj["extra"] = 1
+    elif fault == "missing":
+        del obj[draw(st.sampled_from(LOG_FIELDS))]
+    items = draw(st.permutations(list(obj.items())))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    text = json.dumps(dict(items), separators=separators, ensure_ascii=draw(st.booleans()))
+    if fault == "duplicate":
+        key = draw(st.sampled_from(LOG_FIELDS))
+        text = "{" + json.dumps(key) + ": " + json.dumps(draw(st.sampled_from(["p", 1]))) + ", " + text[1:]
+    return text
+
+
+@st.composite
+def _log_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(
+            ["record"] * 4 + ["padded", "two_values", "spanning", "non_object", "blank"]))
+        if kind == "record":
+            lines.append(draw(_record_texts()))
+        elif kind == "padded":
+            lead = draw(st.sampled_from(["", " ", "\t", "\x0c", "\xa0"]))
+            trail = draw(st.sampled_from(["", " ", "\t", "\x0c", "\xa0", "\x0b", "\x1c", "\x85"]))
+            lines.append(lead + draw(_record_texts()) + trail)
+        elif kind == "two_values":
+            lines.append(draw(_record_texts()) + draw(st.sampled_from(["", " "])) + draw(_record_texts()))
+        elif kind == "spanning":
+            text = draw(_record_texts())
+            cut = draw(st.integers(1, len(text) - 1))
+            lines.extend([text[:cut], text[cut:]])
+        elif kind == "non_object":
+            lines.append(draw(st.sampled_from(["[]", "1", '"x"', "null", "true", "[1, 2]", "{}"])))
+        else:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\x0c"])))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _typed(records):
+    return [[(type(value), value) for value in record] for record in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_texts())
+def test_parse_matches_per_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("log") / "episodes.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = _typed(_reference_parse(path))
+    except EvalLogError as exc:
+        with pytest.raises(EvalLogError) as excinfo:
+            parse_episode_log(path)
+        assert str(excinfo.value) == str(exc)
+    else:
+        records = parse_episode_log(path)
+        assert all(type(record) is EpisodeRecord for record in records)
+        assert _typed(records) == expected
+
+
+def test_parse_memory_per_episode_is_capped(tmp_path):
+    policies = [f"policy_{i:02d}" for i in range(20)]
+    records = []
+    for policy in policies:
+        records += ood_records(policy, (50,) * 6, episodes=(100,) * 6)
+        for protocol, sub in itertools.product(PROTOCOLS, ("horizontal", "vertical", "standing")):
+            records += expand_cell(policy, "coke_can", "single", episodes=100, lift_successes=40,
+                                   grasp_successes=60, protocol=protocol, sub_setting=sub)
+    path = tmp_path / "episodes.jsonl"
+    write_episode_log(records, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parsed = parse_episode_log(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 24_000 and parsed == records
+    assert peak / len(parsed) <= 200, f"{peak / len(parsed):.0f} B per episode"
+    for policy in policies:
+        assert len({id(r.policy) for r in parsed if r.policy == policy}) == 1
 
 
 def test_renderers_produce_aligned_tables():

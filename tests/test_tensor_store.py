@@ -138,6 +138,13 @@ def test_header_length_beyond_file_rejected(tmp_path):
         load_checkpoint(write_file(tmp_path, raw))
 
 
+def test_header_length_above_cap_rejected(tmp_path):
+    raw = struct.pack("<Q", 100_000_001)
+    with pytest.raises(CheckpointFormatError, match="exceeds the 100000000-byte limit") as excinfo:
+        load_checkpoint(write_file(tmp_path, raw))
+    assert "\n" not in str(excinfo.value)
+
+
 def test_file_shorter_than_length_field_rejected(tmp_path):
     with pytest.raises(CheckpointFormatError, match="malformed header length"):
         load_checkpoint(write_file(tmp_path, b"\x02\x00"))
