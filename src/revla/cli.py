@@ -15,7 +15,9 @@ import json
 import logging
 import os
 import sys
+import threading
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .merge import MergeSpec, linear_merge
@@ -99,8 +101,36 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _sha256_in_thread(data: bytes) -> Callable[[], str]:
+    """Start hashing ``data`` on another thread; the returned function waits for its hex digest.
+
+    ``hashlib`` releases the GIL while it hashes a large buffer, so the
+    caller can hash on its own core meanwhile. An exception raised while
+    hashing is raised again by the returned function.
+    """
+    outcome: list = []
+
+    def work() -> None:
+        try:
+            outcome.append(hashlib.sha256(data).hexdigest())
+        except Exception as exc:  # handed to the caller, which raises it
+            outcome.append(exc)
+
+    thread = threading.Thread(target=work, name="revla-sha256", daemon=True)
+    thread.start()
+
+    def hexdigest() -> str:
+        thread.join()
+        if isinstance(outcome[0], Exception):
+            raise outcome[0]
+        return outcome[0]
+
+    return hexdigest
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
+    file_hexdigest = _sha256_in_thread(serialize_checkpoint(ckpt))
     rows = []
     for meta in ckpt.metas():
         digest = hashlib.sha256(ckpt[meta.name]).hexdigest()
@@ -112,7 +142,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "sha256": digest,
         })
         print(f"{meta.name}  {rows[-1]['dtype']}  {rows[-1]['shape']}  {digest[:16]}")
-    file_digest = hashlib.sha256(serialize_checkpoint(ckpt)).hexdigest()
+    file_digest = file_hexdigest()
     print(f"tensors: {len(rows)}  canonical sha256: {file_digest[:16]}")
     payload = {
         "file": str(args.checkpoint),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_store import Checkpoint, CompatReport, Selector, select, validate_compat
+from .tensor_store import Checkpoint, CompatReport, Selector, same_bits, select, validate_compat
 
 
 class MergeCompatibilityError(ValueError):
@@ -41,16 +41,6 @@ def _require_compatible(current: Checkpoint, pretrained: Checkpoint, names: list
         raise MergeCompatibilityError(report)
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bitwise equality of two same-dtype, same-shape arrays, without copying them.
-
-    Comparing same-width unsigned-integer views tells ``-0.0`` from ``0.0``
-    and finds a NaN equal to the same NaN, as a byte comparison does.
-    """
-    bits = np.dtype(f"u{a.dtype.itemsize}")
-    return bool((a.view(bits) == b.view(bits)).all())
-
-
 def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -> Checkpoint:
     """Blend the selected tensors of two checkpoints at ``spec.alpha``.
 
@@ -69,7 +59,7 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
         if alpha == 1.0:
             # copied, not recomputed: 0.0 * x flips the sign of zero
             updates[name] = pre
-        elif _same_bits(cur, pre):
+        elif same_bits(cur, pre):
             # equal endpoints: interpolation is the identity exactly, which
             # the float evaluation below would only approximate
             updates[name] = cur

@@ -461,7 +461,8 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     and its setting and protocol are the module's constants. Any other
     non-blank line goes through ``json.loads`` and
     ``_record_from_json_obj``, which accept the same records and word
-    every message.
+    every message. A line that is not UTF-8, or is nested deeper than the
+    recursion limit, is a bad line like any other.
     """
     records: list[EpisodeRecord] = []
     problems: list[str] = []
@@ -469,15 +470,22 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     shared: dict[str | None, str | None] = {}
     share = shared.setdefault
     new_record = tuple.__new__
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 come through as surrogate escapes, and only they do.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:  # undo the escapes, so that decoding names the first bad byte
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    problems.append(f"line {lineno}: {exc}")
+                    continue
             try:
                 obj, end = scan_once(line, 0)
                 if type(obj) is dict and len(obj) == len(LOG_FIELDS):
                     policy, target, setting, protocol, episode, grasp, lift, sub = _log_values(obj)
                 else:
                     policy = None
-            except (StopIteration, ValueError, KeyError):
+            except (StopIteration, ValueError, KeyError, RecursionError):
                 policy = None
             if (
                 type(policy) is str and policy
@@ -499,7 +507,7 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
                 continue
             try:
                 records.append(_record_from_json_obj(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
                 problems.append(f"line {lineno}: {exc}")
     if problems:
         raise EvalLogError(f"invalid episode log {path}:\n" + "\n".join(problems))

@@ -130,16 +130,22 @@ class Checkpoint:
             return NotImplemented
         if self.names() != other.names() or self._metadata != other._metadata:
             return False
-        for name, arr in self._tensors.items():
-            theirs = other[name]
-            if arr.dtype != theirs.dtype or arr.shape != theirs.shape:
-                return False
-            if arr.tobytes() != theirs.tobytes():  # bitwise, so NaNs compare stably
-                return False
-        return True
+        return all(same_bits(arr, other[name]) for name, arr in self._tensors.items())
 
     def __repr__(self) -> str:
         return f"Checkpoint({len(self)} tensors)"
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have the same dtype, shape and bytes, compared without copying them.
+
+    Comparing same-width unsigned-integer views tells ``-0.0`` from ``0.0``
+    and finds a NaN equal to the same NaN, as a byte comparison does.
+    """
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    return bool((a.view(bits) == b.view(bits)).all())
 
 
 @dataclass(frozen=True)
@@ -376,9 +382,41 @@ def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes | memoryview]:
         yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data
 
 
+def _held_file(ckpt: Checkpoint, head: bytes) -> bytes | None:
+    """The ``bytes`` object that already is ``ckpt``'s canonical file, if one is.
+
+    That holds when every tensor starts at exactly its canonical offset in
+    the first tensor's ``base`` (so all of them view that one object), the
+    object begins with the canonical ``head``, and it ends where the last
+    tensor ends, as for a checkpoint loaded from a canonical file.
+    """
+    tensors = list(ckpt._tensors.values())
+    if not tensors:
+        return None
+    held = tensors[0].base
+    if len(held) != len(head) + sum(arr.nbytes for arr in tensors) or not held.startswith(head):
+        return None
+    address = np.frombuffer(held, np.uint8).__array_interface__["data"][0] + len(head)
+    for arr in tensors:
+        if arr.__array_interface__["data"][0] != address:
+            return None
+        address += arr.nbytes
+    return held
+
+
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
-    """Canonical byte serialization; equal checkpoints yield equal bytes."""
-    return b"".join(_canonical_parts(ckpt))
+    """Canonical byte serialization; equal checkpoints yield equal bytes.
+
+    When the checkpoint's tensors already view its whole canonical file in
+    one ``bytes`` object, that object is returned: it is immutable, so
+    sharing it is safe, and nothing is copied.
+    """
+    parts = _canonical_parts(ckpt)
+    head = next(parts)
+    held = _held_file(ckpt, head)
+    if held is not None:
+        return held
+    return b"".join([head, *parts])
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

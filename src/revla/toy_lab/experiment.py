@@ -22,7 +22,7 @@ import numpy as np
 
 from ..ood_eval import format_table
 from ..schedule import MergePlan, apply_stage, stage_boundaries
-from ..tensor_store import Checkpoint, Selector, save_checkpoint, select
+from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint, select
 from .model import ENCODER_PATTERNS, ToyModel, forward
 from .tasks import TASK_A_DEPTH, TASK_B_ACTION, STREAM_EVAL, TaskSpec, make_dataset, stream_rng
 from .training import (
@@ -120,7 +120,7 @@ def _encoder_names(ckpt: Checkpoint) -> list[str]:
 
 def _encoders_equal(a: Checkpoint, b: Checkpoint) -> bool:
     names = _encoder_names(a)
-    return all(a[n].tobytes() == b[n].tobytes() for n in names)
+    return all(same_bits(a[n], b[n]) for n in names)
 
 
 @dataclass(frozen=True)

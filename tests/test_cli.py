@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -53,6 +56,41 @@ def test_inspect_corrupted_header_fails_with_diagnostic(tmp_path, capsys):
     code = main(["inspect", str(bad), "--out", str(tmp_path / "o.json")])
     assert code == 1
     assert "malformed header length" in capsys.readouterr().err
+
+
+def test_inspect_of_a_non_canonical_file_reports_the_canonical_digest(checkpoint_pair, tmp_path):
+    current, _, cur_path, _ = checkpoint_pair
+    canonical = cur_path.read_bytes()
+    (header_len,) = struct.unpack("<Q", canonical[:8])
+    header = json.loads(canonical[8:8 + header_len])
+    spaced = json.dumps(header, indent=1).encode()
+    spaced += b" " * (-len(spaced) % 8)
+    odd = tmp_path / "spaced.st"
+    odd.write_bytes(struct.pack("<Q", len(spaced)) + spaced + canonical[8 + header_len:])
+    assert load_checkpoint(odd) == current
+    out_odd, out_canonical = tmp_path / "odd.json", tmp_path / "canonical.json"
+    assert main(["inspect", str(odd), "--out", str(out_odd)]) == 0
+    assert main(["inspect", str(cur_path), "--out", str(out_canonical)]) == 0
+    odd_report, canonical_report = json.loads(out_odd.read_text()), json.loads(out_canonical.read_text())
+    assert odd_report["canonical_sha256"] == hashlib.sha256(canonical).hexdigest()
+    assert odd_report["canonical_sha256"] != hashlib.sha256(odd.read_bytes()).hexdigest()
+    assert odd_report["tensors"] == canonical_report["tensors"]
+
+
+def test_inspect_hashing_error_exits_1_with_one_line(checkpoint_pair, tmp_path, monkeypatch, capsys):
+    _, _, cur_path, _ = checkpoint_pair
+    sha256 = hashlib.sha256
+
+    def failing_off_the_main_thread(data=b""):
+        if threading.current_thread() is not threading.main_thread():
+            raise OSError("hashing failed")
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", failing_off_the_main_thread)
+    out = tmp_path / "inspect.json"
+    assert main(["inspect", str(cur_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: hashing failed\n"
+    assert not out.exists()
 
 
 def test_merge_alpha_one_select_all_equals_pretrained(checkpoint_pair, tmp_path):
@@ -374,6 +412,25 @@ def test_eval_schema_violation_names_line(tmp_path, capsys):
     code = main(["eval", str(log), "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_eval_names_undecodable_and_too_deep_lines(tmp_path, capsys):
+    records = expand_cell("OpenVLA", "pear", "single", episodes=3, lift_successes=1)
+    good = [json.dumps(record.to_json_obj()).encode() for record in records]
+    log = tmp_path / "hostile.jsonl"
+    # one line per terminator kind, so each bad line's number counts all three
+    log.write_bytes(good[0] + b"\r\n" + b'{"policy": "\xff"}\r' + good[1] + b"\n"
+                    + b"[" * 100_000 + b"\n" + good[2] + b"\n" + b'{"policy": 1}\n')
+    code = main(["eval", str(log), "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: invalid episode log {log}:",
+        "line 2: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+        "line 4: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+        "line 6: missing fields: ['object', 'setting', 'protocol', 'episode', 'grasp_success', "
+        "'lift_success', 'sub_setting']",
+    ]
 
 
 def test_eval_duplicates_with_and_without_sub_setting_fail_with_one_line(tmp_path, capsys):

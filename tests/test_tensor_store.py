@@ -317,6 +317,111 @@ def test_load_and_merge_copy_each_byte_at_most_once(tmp_path):
     assert _traced_peak(linear_merge, current, pretrained, spec) <= 0.75 * ckpt_bytes
 
 
+def test_serializing_a_loaded_canonical_file_copies_nothing(tmp_path):
+    _, _, path = _invariant_pair(tmp_path)  # 16 f64 tensors, 8 MiB
+    loaded = load_checkpoint(path)
+    assert _traced_peak(serialize_checkpoint, loaded) < 64 * 1024
+    canonical = serialize_checkpoint(loaded)
+    assert canonical is loaded["g0.w0"].base
+    assert canonical == path.read_bytes()
+
+
+def _entries():
+    rng = np.random.default_rng(8)
+    return [("a.w", rng.standard_normal((2, 3))), ("b.w", rng.standard_normal(4).astype(np.float32)),
+            ("c.w", np.zeros((0, 5), dtype=np.float32)), ("d.w", np.array(-0.0))]
+
+
+def _header(entries, trailing_metadata=None, separators=(", ", ": ")):
+    """A valid header blob for ``entries`` laid out in order, spaced as asked."""
+    header, offset = {}, 0
+    for name, arr in entries:
+        header[name] = {"dtype": DTYPE_TAGS[arr.dtype.str[1:]], "shape": list(arr.shape),
+                        "data_offsets": [offset, offset + arr.nbytes]}
+        offset += arr.nbytes
+    if trailing_metadata is not None:
+        header["__metadata__"] = trailing_metadata
+    return json.dumps(header, separators=separators).encode()
+
+
+def _loaded(tmp_path, raw, name="ckpt.safetensors"):
+    return load_checkpoint(write_file(tmp_path, raw, name))
+
+
+def _loaded_with_header(tmp_path, blob):
+    return _loaded(tmp_path, build_file_bytes(_entries(), header_override=blob))
+
+
+def _one_tensor_blended(tmp_path):
+    ckpt = _loaded(tmp_path, build_file_bytes(_entries()))
+    return ckpt.replace({"a.w": ckpt["a.w"] * 0.5})
+
+
+def _two_tensors_swapped(tmp_path):
+    ckpt = _loaded(tmp_path, build_file_bytes([("a.w", np.ones(3)), ("b.w", np.zeros(3))]))
+    return ckpt.replace({"a.w": ckpt["b.w"], "b.w": ckpt["a.w"]})
+
+
+def _tensors_from_two_files(tmp_path):
+    one = _loaded(tmp_path, build_file_bytes(_entries()), "one.st")
+    two = _loaded(tmp_path, build_file_bytes(_entries()[::-1]), "two.st")
+    return one.replace({"b.w": two["b.w"]})
+
+
+def _views_of_a_file_with_bytes_after_it(tmp_path):
+    raw = build_file_bytes(_entries()) + bytes(8)
+    offset = 8 + struct.unpack("<Q", raw[:8])[0]
+    tensors = {}
+    for name, arr in _entries():
+        tensors[name] = np.ndarray(arr.shape, arr.dtype, raw, offset)
+        offset += arr.nbytes
+    return Checkpoint(tensors)
+
+
+# Each case builds a checkpoint and says whether its tensors already view
+# the whole canonical file, which serializing then returns uncopied.
+SERIALIZE_CASES = {
+    "canonical file": (lambda tmp: _loaded(tmp, build_file_bytes(_entries())), True),
+    "canonical file with metadata": (
+        lambda tmp: _loaded(tmp, build_file_bytes(_entries(), metadata={"k": "v"})), True),
+    "header keys out of order": (
+        lambda tmp: _loaded(tmp, build_file_bytes(_entries()[::-1])), False),
+    "json spacing": (lambda tmp: _loaded_with_header(tmp, _header(_entries())), False),
+    "extra header padding": (
+        lambda tmp: _loaded_with_header(tmp, _header(_entries(), separators=(",", ":")) + b" " * 8),
+        False),
+    "metadata after the tensors": (
+        lambda tmp: _loaded_with_header(
+            tmp, _header(_entries(), trailing_metadata={"k": "v"}, separators=(",", ":"))),
+        False),
+    "empty checkpoint": (lambda tmp: _loaded(tmp, build_file_bytes([])), False),
+    "one tensor blended": (_one_tensor_blended, False),
+    "two tensors swapped within one file": (_two_tensors_swapped, False),
+    "tensors from two loaded files": (_tensors_from_two_files, False),
+    "views of a canonical file with bytes after it": (_views_of_a_file_with_bytes_after_it, False),
+    "arrays built in memory": (lambda tmp: Checkpoint(dict(_entries())), False),
+}
+
+
+@pytest.mark.parametrize("case", list(SERIALIZE_CASES))
+def test_serialize_equals_the_joined_canonical_parts(case, tmp_path):
+    build, held = SERIALIZE_CASES[case]
+    ckpt = build(tmp_path)
+    canonical = serialize_checkpoint(ckpt)
+    assert canonical == b"".join(tensor_store._canonical_parts(ckpt))
+    tensors = [ckpt[name] for name in ckpt]
+    assert (bool(tensors) and canonical is tensors[0].base) == held
+    assert load_checkpoint(write_file(tmp_path, canonical, "canonical.st")) == ckpt
+
+
+def test_checkpoint_equality_is_bitwise():
+    nan = np.array([np.nan, 1.0])
+    assert Checkpoint({"w": nan}) == Checkpoint({"w": nan.copy()})
+    assert Checkpoint({"w": np.array(0.0)}) != Checkpoint({"w": np.array(-0.0)})
+    assert Checkpoint({"w": np.zeros(2)}) != Checkpoint({"w": np.zeros((1, 2))})
+    assert Checkpoint({"w": np.zeros(2)}) != Checkpoint({"w": np.zeros(4, dtype=np.float32)})
+
+
 def test_failed_save_leaves_target_untouched(tmp_path, monkeypatch):
     ckpt = Checkpoint({"w": np.ones(3)})
 
