@@ -15,9 +15,7 @@ import json
 import logging
 import os
 import sys
-import threading
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .merge import MergeSpec, linear_merge
@@ -88,7 +86,7 @@ def _settings(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{args.command} config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise ValueError(f"{args.command} config must be a JSON object")
@@ -101,36 +99,14 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _sha256_in_thread(data: bytes) -> Callable[[], str]:
-    """Start hashing ``data`` on another thread; the returned function waits for its hex digest.
-
-    ``hashlib`` releases the GIL while it hashes a large buffer, so the
-    caller can hash on its own core meanwhile. An exception raised while
-    hashing is raised again by the returned function.
-    """
-    outcome: list = []
-
-    def work() -> None:
-        try:
-            outcome.append(hashlib.sha256(data).hexdigest())
-        except Exception as exc:  # handed to the caller, which raises it
-            outcome.append(exc)
-
-    thread = threading.Thread(target=work, name="revla-sha256", daemon=True)
-    thread.start()
-
-    def hexdigest() -> str:
-        thread.join()
-        if isinstance(outcome[0], Exception):
-            raise outcome[0]
-        return outcome[0]
-
-    return hexdigest
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor  # imported here to keep startup fast
+
     ckpt = load_checkpoint(args.checkpoint)
-    file_hexdigest = _sha256_in_thread(serialize_checkpoint(ckpt))
+    # hashlib releases the GIL on a large buffer, so the file hashes on another core meanwhile
+    pool = ThreadPoolExecutor(1)
+    file_hash = pool.submit(hashlib.sha256, serialize_checkpoint(ckpt))
+    pool.shutdown(wait=False)  # the submitted hash still runs; the worker exits after it
     rows = []
     for meta in ckpt.metas():
         digest = hashlib.sha256(ckpt[meta.name]).hexdigest()
@@ -142,7 +118,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "sha256": digest,
         })
         print(f"{meta.name}  {rows[-1]['dtype']}  {rows[-1]['shape']}  {digest[:16]}")
-    file_digest = file_hexdigest()
+    file_digest = file_hash.result().hexdigest()
     print(f"tensors: {len(rows)}  canonical sha256: {file_digest[:16]}")
     payload = {
         "file": str(args.checkpoint),

@@ -66,12 +66,12 @@ class DuplicateEpisodeError(ValueError):
     """The same (policy, scenario, episode id) appears more than once."""
 
 
-def round_rate(successes: int, episodes: int, places: int = 3) -> float:
-    """Exact ratio of counts, rounded half-up to ``places`` decimals."""
+def round_rate(successes: int, episodes: int) -> float:
+    """Exact ratio of counts, rounded half-up to three decimals."""
     if episodes <= 0:
         raise ValueError(f"episode count must be positive, got {episodes}")
     ratio = Decimal(successes) / Decimal(episodes)
-    return float(ratio.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
+    return float(ratio.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP))
 
 
 def relative_improvement(candidate: float, baseline: float) -> int:
@@ -306,15 +306,11 @@ class SuccessTable:
         return {"metric": self.metric, "cells": cells, "policies": policies}
 
 
-def scenario_suite(
-    episodes_per_setting: int = DEFAULT_EPISODES_PER_SETTING,
-) -> list[ScenarioSpec]:
+def scenario_suite() -> list[ScenarioSpec]:
     """The out-of-domain suite plus the in-domain pick-can scenarios."""
-    suite = ood_suite(episodes_per_setting)
+    suite = ood_suite()
     for protocol in PROTOCOLS:
-        suite.append(
-            ScenarioSpec(IN_DOMAIN_OBJECT, SETTING_SINGLE, protocol, episodes_per_setting)
-        )
+        suite.append(ScenarioSpec(IN_DOMAIN_OBJECT, SETTING_SINGLE, protocol))
     return suite
 
 
@@ -335,16 +331,12 @@ def ood_suite(episodes_per_setting: int = DEFAULT_EPISODES_PER_SETTING) -> list[
     return suite
 
 
-def aggregate(
-    records: Sequence[EpisodeRecord],
-    success_field: str = METRIC_LIFT,
-    scenarios: Sequence[ScenarioSpec] | None = None,
-) -> SuccessTable:
+def aggregate(records: Sequence[EpisodeRecord], success_field: str = METRIC_LIFT) -> SuccessTable:
     """Count successes per (policy, object, setting, protocol, sub-setting).
 
-    Every record must reference a declared scenario and no (policy,
-    scenario, episode) may repeat. Episode counts are taken from the log
-    itself, not from the scenario's nominal count.
+    Every record must reference a scenario of ``scenario_suite()`` and no
+    (policy, scenario, episode) may repeat. Episode counts are taken from
+    the log itself, not from the scenario's nominal count.
     """
     if success_field not in METRICS:
         raise ValueError(f"unknown metric {success_field!r}; expected one of {METRICS}")
@@ -352,7 +344,7 @@ def aggregate(
         raise EvalLogError("no records")
     duplicates: set[tuple] = set()
     cells = _tally(records, attrgetter(*_CELL_KEY_FIELDS), duplicates)
-    declared = {spec.key for spec in (scenario_suite() if scenarios is None else scenarios)}
+    declared = {spec.key for spec in scenario_suite()}
     unknown = sorted({key[1:4] for key in cells} - declared)
     if unknown:
         raise UnknownScenarioError(f"records reference undeclared scenarios: {unknown}")
@@ -558,19 +550,19 @@ def render_ood_table(table: SuccessTable) -> str:
     return format_table(rows)
 
 
-def render_in_domain_table(table: SuccessTable, target_object: str = IN_DOMAIN_OBJECT) -> str:
-    """Text table of per-sub-setting rates grouped by protocol."""
+def render_in_domain_table(table: SuccessTable) -> str:
+    """Text table of the in-domain object's per-sub-setting rates grouped by protocol."""
     sections = []
     for protocol in PROTOCOLS:
         policies = [
             p for p in table.policies()
-            if table.counts(p, target_object, protocol=protocol).episodes
+            if table.counts(p, IN_DOMAIN_OBJECT, protocol=protocol).episodes
         ]
         if not policies:
             continue
         rows = [("policy",) + SUB_SETTINGS + ("average",)]
         for policy in policies:
-            rates = table.sub_setting_rates(policy, target_object, protocol)
+            rates = table.sub_setting_rates(policy, IN_DOMAIN_OBJECT, protocol)
             rows.append(
                 (policy,)
                 + tuple(_fmt(rates[s]) if s in rates else "-" for s in SUB_SETTINGS)

@@ -88,16 +88,12 @@ def alpha_at(schedule: Schedule, step: int) -> float:
         raise ScheduleError(
             f"step {step} outside schedule of {schedule.total_steps} steps"
         )
-    if schedule.mode == MODE_FLIP:
-        return 1.0
     k = schedule.stage_count
     return min(step // schedule.stage_length + 1, k) / k
 
 
 def stage_boundaries(schedule: Schedule) -> list[tuple[int, float]]:
     """The (step, alpha) pairs at which a new merge must be applied."""
-    if schedule.mode == MODE_FLIP:
-        return [(0, 1.0)]
     k = schedule.stage_count
     return [(i * schedule.stage_length, (i + 1) / k) for i in range(k)]
 

@@ -282,7 +282,7 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
             offsets = entry["data_offsets"]
         except KeyError as exc:
             raise CheckpointFormatError(f"tensor {name!r}: missing field {exc}") from exc
-        if tag not in _DTYPE_FOR_TAG:
+        if not isinstance(tag, str) or tag not in _DTYPE_FOR_TAG:
             raise CheckpointFormatError(f"tensor {name!r}: unknown dtype {tag!r}")
         if not isinstance(shape, list) or not all(
             isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape

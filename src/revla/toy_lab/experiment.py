@@ -14,7 +14,7 @@ error is measured after each phase.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -25,55 +25,45 @@ from ..schedule import MergePlan, apply_stage, stage_boundaries
 from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint, select
 from .model import ENCODER_PATTERNS, ToyModel, forward
 from .tasks import TASK_A_DEPTH, TASK_B_ACTION, STREAM_EVAL, TaskSpec, make_dataset, stream_rng
-from .training import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_PROBE_COUNT,
-    DEFAULT_RIDGE_LAMBDA,
-    probe_linear,
-    train,
-)
+from .training import BATCH_SIZE, DEFAULT_RIDGE_LAMBDA, PROBE_COUNT, probe_linear, train
 
 STREAM_REVERSAL_TRAIN = 5
+LEARNING_RATE = 1e-2
+EVAL_COUNT = 512  # task-B samples scored after the reversal
+
+# The hyperparameters every run shares, recorded in each report's config.
+_FIXED_SETTINGS = {
+    "learning_rate": LEARNING_RATE,
+    "batch_size": BATCH_SIZE,
+    "ridge_lambda": DEFAULT_RIDGE_LAMBDA,
+    "probe_train_count": PROBE_COUNT,
+    "probe_heldout_count": PROBE_COUNT,
+    "eval_count": EVAL_COUNT,
+}
 
 StageHook = Callable[[int, float, Checkpoint], None]
 
 
 @dataclass(frozen=True)
 class LabConfig:
-    """Hyperparameters of the three-phase experiment.
+    """The settable hyperparameters of the three-phase experiment.
 
     Sized so a full run takes seconds: the point is the mechanism, not the
-    scale. All randomness is derived from ``seed``.
+    scale. All randomness is derived from ``seed``; the other
+    hyperparameters are the module's constants.
     """
 
     seed: int = 7
     pretrain_steps: int = 5000
     finetune_steps: int = 5000
-    learning_rate: float = 1e-2
-    batch_size: int = DEFAULT_BATCH_SIZE
-    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
-    probe_train_count: int = DEFAULT_PROBE_COUNT
-    probe_heldout_count: int = DEFAULT_PROBE_COUNT
-    eval_count: int = DEFAULT_PROBE_COUNT
 
     def __post_init__(self) -> None:
-        for name in ("seed", "pretrain_steps", "finetune_steps"):
-            value = getattr(self, name)
+        for name, value in asdict(self).items():
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "pretrain_steps": self.pretrain_steps,
-            "finetune_steps": self.finetune_steps,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "ridge_lambda": self.ridge_lambda,
-            "probe_train_count": self.probe_train_count,
-            "probe_heldout_count": self.probe_heldout_count,
-            "eval_count": self.eval_count,
-        }
+        return {**asdict(self), **_FIXED_SETTINGS}
 
 
 @dataclass
@@ -135,29 +125,18 @@ class _SharedPhases:
     finetune_losses: list[float]
 
 
-def _probe(model: ToyModel, task: TaskSpec, config: LabConfig) -> float:
-    return probe_linear(
-        model, task, config.ridge_lambda,
-        train_count=config.probe_train_count, heldout_count=config.probe_heldout_count,
-    )
-
-
 def _shared_phases(config: LabConfig) -> _SharedPhases:
     """Pretrain on task A, fine-tune on task B, snapshot and probe after each."""
     task_a = TaskSpec(TASK_A_DEPTH, config.seed)
     task_b = TaskSpec(TASK_B_ACTION, config.seed)
     model, pretrain_losses = train(
-        ToyModel.initialize(config.seed), task_a, config.pretrain_steps, config.learning_rate,
-        batch_size=config.batch_size,
+        ToyModel.initialize(config.seed), task_a, config.pretrain_steps, LEARNING_RATE
     )
     pretrained = model.to_checkpoint()
-    probe_pre = _probe(model, task_a, config)
-    model, finetune_losses = train(
-        model, task_b, config.finetune_steps, config.learning_rate,
-        batch_size=config.batch_size,
-    )
+    probe_pre = probe_linear(model, task_a)
+    model, finetune_losses = train(model, task_b, config.finetune_steps, LEARNING_RATE)
     return _SharedPhases(
-        pretrained, model.to_checkpoint(), probe_pre, _probe(model, task_a, config),
+        pretrained, model.to_checkpoint(), probe_pre, probe_linear(model, task_a),
         pretrain_losses, finetune_losses,
     )
 
@@ -184,14 +163,13 @@ def _reverse(
         if on_stage is not None:
             on_stage(step, alpha, model.to_checkpoint())
         model, stage_losses = train(
-            model, task_b, stage_length, config.learning_rate, encoder_freeze,
-            batch_size=config.batch_size, rng=reversal_rng,
+            model, task_b, stage_length, LEARNING_RATE, encoder_freeze, rng=reversal_rng
         )
         reversal_losses.extend(stage_losses)
-    probe_rev = _probe(model, task_a, config)
+    probe_rev = probe_linear(model, task_a)
 
     final = model.to_checkpoint()
-    x_eval, y_eval = make_dataset(task_b, STREAM_EVAL, config.eval_count)
+    x_eval, y_eval = make_dataset(task_b, STREAM_EVAL, EVAL_COUNT)
     task_b_err = float(np.mean((forward(model, x_eval, task_b.head) - y_eval) ** 2))
 
     if checkpoint_dir is not None:

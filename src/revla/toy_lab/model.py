@@ -74,9 +74,7 @@ class ToyModel:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != D_IN:
             raise ValueError(f"input must have {D_IN} columns, got shape {x.shape}")
-        p = self.params
-        h1 = np.tanh(x @ p["vision.dino.layer1.weight"].T + p["vision.dino.layer1.bias"])
-        return np.tanh(h1 @ p["vision.dino.layer2.weight"].T + p["vision.dino.layer2.bias"])
+        return _encode(self.params, x)[1]
 
     def to_checkpoint(self) -> Checkpoint:
         return Checkpoint(self.params)
@@ -92,6 +90,12 @@ class ToyModel:
             if arr.shape != PARAM_SHAPES[name]:
                 raise ValueError(f"{name}: expected shape {PARAM_SHAPES[name]}, got {arr.shape}")
             self.params[name] = arr.copy()
+
+
+def _encode(p: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and encoder features of an f64 (batch, 16) input."""
+    h1 = np.tanh(x @ p["vision.dino.layer1.weight"].T + p["vision.dino.layer1.bias"])
+    return h1, np.tanh(h1 @ p["vision.dino.layer2.weight"].T + p["vision.dino.layer2.bias"])
 
 
 def _head_params(model: ToyModel, head: str) -> tuple[np.ndarray, np.ndarray]:
@@ -143,9 +147,7 @@ def _predict_and_grad(
     taken as f64 arrays; ``grad`` checks them first.
     """
     w, b = _head_params(model, head)
-    p = model.params
-    h1 = np.tanh(x @ p["vision.dino.layer1.weight"].T + p["vision.dino.layer1.bias"])
-    feats = np.tanh(h1 @ p["vision.dino.layer2.weight"].T + p["vision.dino.layer2.bias"])
+    h1, feats = _encode(model.params, x)
     preds = feats @ w.T + b
     if preds.shape != targets.shape:
         raise ValueError(f"targets shape {targets.shape} != predictions shape {preds.shape}")
@@ -159,7 +161,7 @@ def _predict_and_grad(
     if trained.isdisjoint(ENCODER_NAMES):
         return preds, grads
     dz2 = (dpred @ w) * (1.0 - feats * feats)
-    dz1 = (dz2 @ p["vision.dino.layer2.weight"]) * (1.0 - h1 * h1)
+    dz1 = (dz2 @ model.params["vision.dino.layer2.weight"]) * (1.0 - h1 * h1)
     encoder_grads = {
         "vision.dino.layer2.weight": dz2.T @ h1,
         "vision.dino.layer2.bias": dz2.sum(axis=0),

@@ -34,17 +34,14 @@ STREAM_EVAL = 4
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """Task identity plus the seed and default sample count of its data."""
+    """Task identity plus the seed of its data."""
 
     task_id: str
     seed: int
-    sample_count: int = 512
 
     def __post_init__(self) -> None:
         if self.task_id not in TASK_IDS:
             raise ValueError(f"unknown task {self.task_id!r}; expected one of {TASK_IDS}")
-        if self.sample_count < 0:
-            raise ValueError("sample count must be non-negative")
 
     @property
     def head(self) -> str:
@@ -94,8 +91,8 @@ def sample_inputs(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.standard_normal((count, D_IN))
 
 
-def make_dataset(spec: TaskSpec, stream: int, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed dataset drawn from one of the task's seeded streams."""
+def make_dataset(spec: TaskSpec, stream: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed dataset of ``count`` samples drawn from one of the task's seeded streams."""
     rng = stream_rng(spec, stream)
-    x = sample_inputs(rng, spec.sample_count if count is None else count)
+    x = sample_inputs(rng, count)
     return x, targets(spec, x)

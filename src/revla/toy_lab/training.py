@@ -20,9 +20,9 @@ from .tasks import (
     targets,
 )
 
-DEFAULT_BATCH_SIZE = 32
+BATCH_SIZE = 32
 DEFAULT_RIDGE_LAMBDA = 1e-6
-DEFAULT_PROBE_COUNT = 512
+PROBE_COUNT = 512  # samples in each of the probe's train and held-out sets
 
 
 class TrainingDiverged(RuntimeError):
@@ -41,10 +41,9 @@ def train(
     lr: float,
     freeze: Selector | None = None,
     *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     rng: np.random.Generator | None = None,
 ) -> tuple[ToyModel, list[float]]:
-    """Gradient descent on seeded minibatches; returns a new model.
+    """Gradient descent on seeded minibatches of ``BATCH_SIZE``; returns a new model.
 
     Deterministic given (task seed, steps, lr); pass ``rng`` to continue an
     existing minibatch stream across calls. Frozen parameters are left
@@ -64,7 +63,7 @@ def train(
     trained = frozenset((f"head_{head}.weight", f"head_{head}.bias", *ENCODER_NAMES)) - frozen
     losses: list[float] = []
     for step in range(steps):
-        x = sample_inputs(rng, batch_size)
+        x = sample_inputs(rng, BATCH_SIZE)
         y = targets(task, x)
         preds, grads = _predict_and_grad(out, x, y, head, trained)
         loss = float(np.mean((preds - y) ** 2))
@@ -97,20 +96,14 @@ def readout_mse(coeffs: np.ndarray, features: np.ndarray, targets_: np.ndarray) 
     return float(np.mean((design @ coeffs - targets_) ** 2))
 
 
-def probe_linear(
-    model: ToyModel,
-    task: TaskSpec,
-    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA,
-    *,
-    train_count: int = DEFAULT_PROBE_COUNT,
-    heldout_count: int = DEFAULT_PROBE_COUNT,
-) -> float:
+def probe_linear(model: ToyModel, task: TaskSpec, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA) -> float:
     """Held-out MSE of a ridge readout fit on frozen encoder features.
 
-    Probe train and held-out sets come from the task's dedicated streams, so
-    the result is a deterministic function of (encoder weights, task spec).
+    Probe train and held-out sets of ``PROBE_COUNT`` samples each come from
+    the task's dedicated streams, so the result is a deterministic function
+    of (encoder weights, task spec).
     """
-    x_train = sample_inputs(stream_rng(task, STREAM_PROBE_TRAIN), train_count)
-    x_heldout = sample_inputs(stream_rng(task, STREAM_PROBE_HELDOUT), heldout_count)
+    x_train = sample_inputs(stream_rng(task, STREAM_PROBE_TRAIN), PROBE_COUNT)
+    x_heldout = sample_inputs(stream_rng(task, STREAM_PROBE_HELDOUT), PROBE_COUNT)
     coeffs = fit_ridge_readout(model.features(x_train), targets(task, x_train), ridge_lambda)
     return readout_mse(coeffs, model.features(x_heldout), targets(task, x_heldout))

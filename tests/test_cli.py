@@ -246,23 +246,29 @@ def test_schedule_flags_override_config_file(tmp_path):
                   "selector": "vision.dino.*"}),
     ("lab", '{"total_steps": 60,}'),
     ("schedule", '{"total_steps": 60,}'),
+    ("lab", b'{"seed": "\xff"}'),
+    ("schedule", b'{"mode": "\xff"}'),
 ], ids=[
     "lab-float-total", "lab-bool-pretrain", "lab-str-seed", "lab-negative-seed", "lab-list",
     "lab-unknown-key",
     "sched-str-total", "sched-float-total", "sched-bool-stage", "sched-no-total", "sched-list",
     "sched-unknown-key", "sched-str-selector", "lab-invalid-json", "sched-invalid-json",
+    "lab-not-utf8", "sched-not-utf8",
 ])
 def test_bad_config_fails_with_one_line(command, config, tmp_path, capsys):
-    """A config given as a string is written as raw text, anything else as JSON."""
+    """A config given as bytes or a string is written as is, anything else as JSON."""
     path = tmp_path / "config.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
-    if isinstance(config, str):
+    if isinstance(config, (str, bytes)):
         assert f"{command} config {path} is not valid JSON" in err
 
 

@@ -147,4 +147,14 @@ def test_report_json_shape(gradual_run):
     payload = report.to_dict()
     assert payload["encoder_bitwise_reverted"] is True
     assert payload["forgetting_ratio"] == pytest.approx(report.forgetting_ratio)
-    assert payload["config"]["seed"] == FAST.seed
+    assert payload["config"] == {
+        "seed": 3,
+        "pretrain_steps": 600,
+        "finetune_steps": 600,
+        "learning_rate": 0.01,
+        "batch_size": 32,
+        "ridge_lambda": 1e-6,
+        "probe_train_count": 512,
+        "probe_heldout_count": 512,
+        "eval_count": 512,
+    }

@@ -207,13 +207,15 @@ def test_duplicate_names_rejected(tmp_path):
 
 
 def test_unknown_dtype_rejected(tmp_path):
-    header = {"w": {"dtype": "BF16", "shape": [2], "data_offsets": [0, 4]}}
-    raw = build_file_bytes(
-        [("pad", np.zeros(1, dtype=np.float32))],
-        header_override=json.dumps(header, separators=(",", ":")).encode(),
-    )
-    with pytest.raises(CheckpointFormatError, match="unknown dtype"):
-        load_checkpoint(write_file(tmp_path, raw))
+    # a list or object tag is unhashable, and must not escape as a TypeError
+    for tag in ("BF16", ["F32"], {"F32": 1}):
+        header = {"w": {"dtype": tag, "shape": [2], "data_offsets": [0, 4]}}
+        raw = build_file_bytes(
+            [("pad", np.zeros(1, dtype=np.float32))],
+            header_override=json.dumps(header, separators=(",", ":")).encode(),
+        )
+        with pytest.raises(CheckpointFormatError, match="unknown dtype"):
+            load_checkpoint(write_file(tmp_path, raw))
 
 
 def test_byte_range_inconsistent_with_shape_rejected(tmp_path):

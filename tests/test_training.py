@@ -30,7 +30,7 @@ from revla.toy_lab.tasks import (
     stream_rng,
     targets,
 )
-from revla.toy_lab.training import DEFAULT_BATCH_SIZE
+from revla.toy_lab.training import BATCH_SIZE
 
 
 def params_bytes(model: ToyModel) -> dict[str, bytes]:
@@ -104,7 +104,7 @@ def test_fused_step_matches_grad_and_forward_bitwise(task_id, freeze, seed):
     model = ToyModel.initialize(seed)
     ref, ref_losses = model.copy(), []
     for _ in range(500):
-        x = sample_inputs(rng, DEFAULT_BATCH_SIZE)
+        x = sample_inputs(rng, BATCH_SIZE)
         y = targets(task, x)
         grads = grad(ref, x, y, task.head, selector)
         preds = forward(ref, x, task.head)
