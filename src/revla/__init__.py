@@ -5,53 +5,7 @@ tensor checkpoints bit-exactly, ``merge`` interpolates them over selected
 parameter groups, ``schedule`` turns interpolation into a step-wise reversal
 curriculum, and ``toy_lab`` / ``ood_eval`` demonstrate the mechanism
 (catastrophic forgetting and its repair) and score evaluation episode logs.
+The library is imported from those modules, e.g. ``revla.tensor_store``.
 """
 
 __version__ = "0.1.0"
-
-from .merge import MergeCompatibilityError, MergeSpec, linear_merge, merge_distance
-from .schedule import (
-    MergePlan,
-    Schedule,
-    ScheduleError,
-    alpha_at,
-    apply_stage,
-    plan_for_variant,
-    stage_boundaries,
-)
-from .tensor_store import (
-    Checkpoint,
-    CheckpointFormatError,
-    CompatReport,
-    Selector,
-    TensorMeta,
-    load_checkpoint,
-    save_checkpoint,
-    select,
-    serialize_checkpoint,
-    validate_compat,
-)
-
-__all__ = [
-    "Checkpoint",
-    "CheckpointFormatError",
-    "CompatReport",
-    "MergeCompatibilityError",
-    "MergePlan",
-    "MergeSpec",
-    "Schedule",
-    "ScheduleError",
-    "Selector",
-    "TensorMeta",
-    "alpha_at",
-    "apply_stage",
-    "linear_merge",
-    "load_checkpoint",
-    "merge_distance",
-    "plan_for_variant",
-    "save_checkpoint",
-    "select",
-    "serialize_checkpoint",
-    "stage_boundaries",
-    "validate_compat",
-]

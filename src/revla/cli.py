@@ -40,6 +40,7 @@ from .schedule import (
     stage_boundaries,
 )
 from .tensor_store import (
+    _TAG_FOR_DTYPE,
     Selector,
     load_checkpoint,
     save_checkpoint,
@@ -112,7 +113,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         digest = hashlib.sha256(ckpt[meta.name]).hexdigest()
         rows.append({
             "name": meta.name,
-            "dtype": "f32" if meta.dtype.itemsize == 4 else "f64",
+            "dtype": _TAG_FOR_DTYPE[meta.dtype].lower(),
             "shape": list(meta.shape),
             "byte_range": list(meta.byte_range),
             "sha256": digest,
@@ -224,15 +225,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for policy, (grasp, lift) in summary.items():
             if policy == args.baseline:
                 continue
+            # a gain over a zero rate is undefined, so it is recorded as null
             improvements[policy] = {
-                "grasp_pct": relative_improvement(grasp, base_grasp),
-                "lift_pct": relative_improvement(lift, base_lift),
+                "grasp_pct": relative_improvement(grasp, base_grasp) if base_grasp else None,
+                "lift_pct": relative_improvement(lift, base_lift) if base_lift else None,
             }
         payload["improvement_over_baseline"] = {"baseline": args.baseline, "policies": improvements}
         print()
         print(f"improvement over {args.baseline}:")
         for policy, imp in improvements.items():
-            print(f"  {policy}: grasp {imp['grasp_pct']:+d}%  lift {imp['lift_pct']:+d}%")
+            grasp_text, lift_text = (
+                "n/a" if pct is None else f"{pct:+d}%" for pct in (imp["grasp_pct"], imp["lift_pct"])
+            )
+            print(f"  {policy}: grasp {grasp_text}  lift {lift_text}")
     _write_json(Path(args.out), payload)
     return 0
 

@@ -25,7 +25,6 @@ from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 OOD_OBJECTS = ("pear", "mustard_bottle", "tomato_can")
 IN_DOMAIN_OBJECT = "coke_can"
-IN_DOMAIN_DISTRACTORS = ("coke_can", "redbull_can")
 SUB_SETTINGS = ("horizontal", "vertical", "standing")
 
 SETTING_SINGLE = "single"
@@ -40,7 +39,12 @@ METRIC_LIFT = "lift"
 METRIC_GRASP = "grasp"
 METRICS = (METRIC_LIFT, METRIC_GRASP)
 
-DEFAULT_EPISODES_PER_SETTING = 36
+# (object, setting, protocol): the three unseen objects alone and among
+# distractors, plus the in-domain can alone under both protocols
+SCENARIOS = frozenset(
+    [(obj, setting, PROTOCOL_VISUAL_MATCHING) for obj in OOD_OBJECTS for setting in SETTINGS]
+    + [(IN_DOMAIN_OBJECT, SETTING_SINGLE, protocol) for protocol in PROTOCOLS]
+)
 
 LOG_FIELDS = (
     "policy",
@@ -59,7 +63,7 @@ class EvalLogError(ValueError):
 
 
 class UnknownScenarioError(ValueError):
-    """Records reference scenarios outside the declared suite."""
+    """Records reference scenarios outside ``SCENARIOS``."""
 
 
 class DuplicateEpisodeError(ValueError):
@@ -80,31 +84,6 @@ def relative_improvement(candidate: float, baseline: float) -> int:
         raise ValueError(f"baseline rate must be positive, got {baseline}")
     pct = 100 * (Decimal(repr(candidate)) - Decimal(repr(baseline))) / Decimal(repr(baseline))
     return int(pct.quantize(Decimal(1), rounding=ROUND_HALF_UP))
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One evaluated condition: a target object in a single or cluttered scene."""
-
-    target_object: str
-    setting: str
-    protocol: str = PROTOCOL_VISUAL_MATCHING
-    episodes_per_setting: int = DEFAULT_EPISODES_PER_SETTING
-    distractor_objects: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.setting not in SETTINGS:
-            raise ValueError(f"unknown setting {self.setting!r}; expected one of {SETTINGS}")
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
-        if self.episodes_per_setting <= 0:
-            raise ValueError("episodes_per_setting must be positive")
-        if self.setting == SETTING_SINGLE and self.distractor_objects:
-            raise ValueError("single setting cannot list distractor objects")
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.target_object, self.setting, self.protocol)
 
 
 class _EpisodeFields(NamedTuple):
@@ -306,37 +285,12 @@ class SuccessTable:
         return {"metric": self.metric, "cells": cells, "policies": policies}
 
 
-def scenario_suite() -> list[ScenarioSpec]:
-    """The out-of-domain suite plus the in-domain pick-can scenarios."""
-    suite = ood_suite()
-    for protocol in PROTOCOLS:
-        suite.append(ScenarioSpec(IN_DOMAIN_OBJECT, SETTING_SINGLE, protocol))
-    return suite
-
-
-def ood_suite(episodes_per_setting: int = DEFAULT_EPISODES_PER_SETTING) -> list[ScenarioSpec]:
-    """Three unseen objects, each evaluated alone and among distractors."""
-    suite = []
-    for obj in OOD_OBJECTS:
-        others = tuple(o for o in OOD_OBJECTS if o != obj)
-        suite.append(ScenarioSpec(obj, SETTING_SINGLE, episodes_per_setting=episodes_per_setting))
-        suite.append(
-            ScenarioSpec(
-                obj,
-                SETTING_DISTRACTOR,
-                episodes_per_setting=episodes_per_setting,
-                distractor_objects=others + IN_DOMAIN_DISTRACTORS,
-            )
-        )
-    return suite
-
-
 def aggregate(records: Sequence[EpisodeRecord], success_field: str = METRIC_LIFT) -> SuccessTable:
     """Count successes per (policy, object, setting, protocol, sub-setting).
 
-    Every record must reference a scenario of ``scenario_suite()`` and no
+    Every record must reference a scenario of ``SCENARIOS`` and no
     (policy, scenario, episode) may repeat. Episode counts are taken from
-    the log itself, not from the scenario's nominal count.
+    the log itself.
     """
     if success_field not in METRICS:
         raise ValueError(f"unknown metric {success_field!r}; expected one of {METRICS}")
@@ -344,8 +298,7 @@ def aggregate(records: Sequence[EpisodeRecord], success_field: str = METRIC_LIFT
         raise EvalLogError("no records")
     duplicates: set[tuple] = set()
     cells = _tally(records, attrgetter(*_CELL_KEY_FIELDS), duplicates)
-    declared = {spec.key for spec in scenario_suite()}
-    unknown = sorted({key[1:4] for key in cells} - declared)
+    unknown = sorted({key[1:4] for key in cells} - SCENARIOS)
     if unknown:
         raise UnknownScenarioError(f"records reference undeclared scenarios: {unknown}")
     # sub_setting may be None in one key and a string in another

@@ -404,6 +404,20 @@ def test_eval_baseline_improvement(tmp_path):
     assert improvement["grasp_pct"] == 61
 
 
+def test_eval_zero_baseline_records_null_and_prints_na(tmp_path, capsys):
+    log = tmp_path / "zero.jsonl"
+    fails = expand_cell("p", "pear", "single", episodes=1, lift_successes=0)
+    lifts = expand_cell("q", "pear", "single", episodes=1, lift_successes=1)
+    write_episode_log(fails + lifts, log)
+    out = tmp_path / "report.json"
+    assert main(["eval", str(log), "--baseline", "p", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["improvement_over_baseline"] == {
+        "baseline": "p", "policies": {"q": {"grasp_pct": None, "lift_pct": None}},
+    }
+    assert capsys.readouterr().out.endswith("improvement over p:\n  q: grasp n/a  lift n/a\n")
+
+
 def test_eval_empty_log_fails(tmp_path, capsys):
     log = tmp_path / "empty.jsonl"
     log.write_text("")

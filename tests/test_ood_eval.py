@@ -6,25 +6,28 @@ import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revla
 from revla.ood_eval import (
     LOG_FIELDS,
     PROTOCOLS,
+    SCENARIOS,
     SETTINGS,
     Cell,
     DuplicateEpisodeError,
     EpisodeRecord,
     EvalLogError,
-    ScenarioSpec,
     UnknownScenarioError,
     aggregate,
     expand_cell,
-    ood_suite,
     parse_episode_log,
     partial_success_summary,
     relative_improvement,
@@ -32,7 +35,6 @@ from revla.ood_eval import (
     render_ood_table,
     render_partial_success,
     round_rate,
-    scenario_suite,
     write_episode_log,
 )
 
@@ -265,36 +267,31 @@ def test_round_trip_through_rounded_rates():
 # --- suite, records, and errors ---------------------------------------------------
 
 
-def test_default_ood_suite_is_216_episodes():
-    suite = ood_suite()
-    assert len(suite) == 6
-    assert sum(spec.episodes_per_setting for spec in suite) == 216
-    assert {spec.target_object for spec in suite} == set(OBJECTS)
+def test_aggregate_accepts_exactly_the_declared_scenarios():
+    records = []
+    for obj, setting, protocol in sorted(SCENARIOS):
+        records.extend(expand_cell("p", obj, setting, episodes=1, lift_successes=1, protocol=protocol))
+    table = aggregate(records)
+    ood = {(obj, setting, "visual_matching") for obj in OBJECTS for setting in SETTINGS}
+    assert SCENARIOS == ood | {("coke_can", "single", protocol) for protocol in PROTOCOLS}
+    assert {key[1:4] for key in table.cells} == SCENARIOS
+    for obj, setting, protocol in [
+        ("pear", "single", "variant_aggregation"),
+        ("coke_can", "distractor", "visual_matching"),
+        ("banana", "single", "visual_matching"),
+    ]:
+        undeclared = expand_cell("p", obj, setting, episodes=1, lift_successes=0, protocol=protocol)
+        with pytest.raises(UnknownScenarioError, match=re.escape(repr((obj, setting, protocol)))):
+            aggregate(records + undeclared)
 
 
-def test_suite_episode_override():
-    suite = ood_suite(10)
-    assert sum(spec.episodes_per_setting for spec in suite) == 60
-
-
-def test_full_suite_includes_in_domain_protocols():
-    suite = scenario_suite()
-    coke = [s for s in suite if s.target_object == "coke_can"]
-    assert {s.protocol for s in coke} == {"visual_matching", "variant_aggregation"}
-    assert len(suite) == 8
-
-
-def test_distractor_specs_list_distractors():
-    for spec in ood_suite():
-        if spec.setting == "distractor":
-            assert spec.distractor_objects
-        else:
-            assert spec.distractor_objects == ()
-
-
-def test_single_spec_cannot_have_distractors():
-    with pytest.raises(ValueError, match="single"):
-        ScenarioSpec("pear", "single", distractor_objects=("coke_can",))
+def test_importing_the_package_and_ood_eval_leaves_numpy_unloaded():
+    package_root = str(Path(revla.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {package_root!r}); "
+            "import revla, revla.ood_eval; print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_lift_without_grasp_rejected():
