@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -18,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .merge import MergeSpec, linear_merge
 from .ood_eval import (
     METRIC_LIFT,
     METRICS,
@@ -39,15 +39,7 @@ from .schedule import (
     plan_for_variant,
     stage_boundaries,
 )
-from .tensor_store import (
-    _TAG_FOR_DTYPE,
-    Selector,
-    load_checkpoint,
-    save_checkpoint,
-    select,
-    serialize_checkpoint,
-)
-from .toy_lab import LabConfig, render_comparison, run_reversal_experiment
+from .selector import Selector
 
 logger = logging.getLogger("revla")
 
@@ -66,6 +58,30 @@ _CONFIG_KEYS = {
     "lab": ("variant", "seed", "pretrain_steps", "finetune_steps", "total_steps", "stage_length"),
     "schedule": ("mode", "total_steps", "stage_length", "selector"),
 }
+
+
+def _on_first_call(module: str, name: str):
+    """A function that imports ``module`` (relative to this package) when called, then calls its ``name``.
+
+    ``merge``, ``tensor_store`` and ``toy_lab`` load numpy, which ``--version``,
+    ``eval`` and ``schedule`` never use, so this module imports them only inside
+    the commands that do.
+    """
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    return forward
+
+
+# perfbench/tracing.py times the layers by wrapping these names on this module,
+# so the commands call them through its globals. They become plain imports inside
+# the commands once the library records its own spans (ROADMAP item 1).
+load_checkpoint = _on_first_call(".tensor_store", "load_checkpoint")
+save_checkpoint = _on_first_call(".tensor_store", "save_checkpoint")
+serialize_checkpoint = _on_first_call(".tensor_store", "serialize_checkpoint")
+linear_merge = _on_first_call(".merge", "linear_merge")
+run_reversal_experiment = _on_first_call(".toy_lab", "run_reversal_experiment")
+render_comparison = _on_first_call(".toy_lab", "render_comparison")
 
 
 def _configure_logging() -> None:
@@ -103,6 +119,8 @@ def _settings(args: argparse.Namespace) -> dict:
 def cmd_inspect(args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor  # imported here to keep startup fast
 
+    from .tensor_store import _TAG_FOR_DTYPE
+
     ckpt = load_checkpoint(args.checkpoint)
     # hashlib releases the GIL on a large buffer, so the file hashes on another core meanwhile
     pool = ThreadPoolExecutor(1)
@@ -133,13 +151,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    current = load_checkpoint(args.current)
-    pretrained = load_checkpoint(args.pretrained)
+    from .merge import MergeSpec
+    from .tensor_store import select
+
     spec = MergeSpec(args.alpha, Selector(args.select or ["*"]))
+    current = load_checkpoint(args.current)
     selected = select(current, spec.selector)
     if not selected:
         prefixes = sorted({name.split(".")[0] for name in current})
         raise ValueError(f"--select matched no tensors; top-level prefixes: {prefixes}")
+    pretrained = load_checkpoint(args.pretrained)
     merged = linear_merge(current, pretrained, spec)
     save_checkpoint(merged, args.out)
     logger.info("merged %d of %d tensors at alpha=%s", len(selected), len(merged), args.alpha)
@@ -173,6 +194,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_lab(args: argparse.Namespace) -> int:
+    from .toy_lab import LabConfig
+
     settings = _settings(args)
     variant = settings.pop("variant", "all")
     variants = list(VARIANTS) if variant == "all" else [variant]

@@ -66,7 +66,8 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
         else:
             a = cur.dtype.type(alpha)
             one_minus = cur.dtype.type(1.0) - a
-            updates[name] = one_minus * cur + a * pre
+            # frozen as it is made, so no float result waits for Checkpoint to copy it
+            updates[name] = np.ndarray(cur.shape, cur.dtype, (one_minus * cur + a * pre).tobytes())
     return current.replace(updates)
 
 

@@ -15,9 +15,12 @@ stage boundaries, every staged merge is computed from the original
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .merge import MergeSpec, linear_merge
-from .tensor_store import Checkpoint, Selector
+from .selector import Selector
+
+if TYPE_CHECKING:
+    from .tensor_store import Checkpoint
 
 MODE_GRADUAL = "gradual"
 MODE_FLIP = "flip"
@@ -138,6 +141,8 @@ def apply_stage(current: Checkpoint, pretrained: Checkpoint, plan: MergePlan, st
     frozen between boundaries, so every stage merges against it rather than
     against an earlier stage's output.
     """
+    from .merge import MergeSpec, linear_merge  # loads numpy, which the rest of this module never needs
+
     boundary_alphas = dict(stage_boundaries(plan.schedule))
     if step not in boundary_alphas:
         raise ScheduleError(

@@ -16,21 +16,26 @@ checkpoint's contents.
 from __future__ import annotations
 
 import json
+import math
 import os
-import re
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+
+from .selector import Selector
 
 _HEADER_LEN_SIZE = 8
 _MAX_HEADER_LEN = 100_000_000  # the reference loader's limit
 _METADATA_KEY = "__metadata__"
 _DTYPE_FOR_TAG = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _TAG_FOR_DTYPE = {np.dtype(np.float32): "F32", np.dtype(np.float64): "F64"}
+# numpy builds no array of more dimensions (32 before numpy 2), nor one whose
+# nonzero dimensions and item size multiply past its index type
+_MAX_NDIM = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+_MAX_INTP = int(np.iinfo(np.intp).max)
 
 
 class CheckpointFormatError(ValueError):
@@ -148,36 +153,6 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return bool((a.view(bits) == b.view(bits)).all())
 
 
-@dataclass(frozen=True)
-class Selector:
-    """Name patterns where ``*`` matches any character run, across dots.
-
-    ``vision.dino.*`` therefore selects the whole subtree under that prefix.
-    The selection is the union over patterns; no patterns selects nothing.
-    Patterns come as a list or tuple: a bare string would otherwise split
-    into one-character patterns, and a ``*`` among them selects everything.
-    """
-
-    patterns: tuple[str, ...]
-
-    def __init__(self, patterns: list[str] | tuple[str, ...] = ()) -> None:
-        if not isinstance(patterns, (list, tuple)):
-            raise ValueError(f"selector patterns must be a list or tuple, got {patterns!r}")
-        pats = tuple(patterns)
-        for pat in pats:
-            if not isinstance(pat, str) or not pat:
-                raise ValueError(f"malformed selector pattern: {pat!r} (must be a non-empty string)")
-        object.__setattr__(self, "patterns", pats)
-
-    def matches(self, name: str) -> bool:
-        return any(_compile_pattern(pat).fullmatch(name) for pat in self.patterns)
-
-
-@lru_cache(maxsize=256)
-def _compile_pattern(pattern: str) -> re.Pattern[str]:
-    return re.compile(".*".join(re.escape(part) for part in pattern.split("*")))
-
-
 def select(source: Checkpoint | Iterable[str], selector: Selector) -> list[str]:
     """Names matching any selector pattern, in lexicographic order."""
     names = source.names() if isinstance(source, Checkpoint) else sorted(source)
@@ -284,8 +259,12 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
             raise CheckpointFormatError(f"tensor {name!r}: missing field {exc}") from exc
         if not isinstance(tag, str) or tag not in _DTYPE_FOR_TAG:
             raise CheckpointFormatError(f"tensor {name!r}: unknown dtype {tag!r}")
-        if not isinstance(shape, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
+        dtype = _DTYPE_FOR_TAG[tag]
+        if (
+            not isinstance(shape, list)
+            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)
+            or len(shape) > _MAX_NDIM
+            or math.prod(d for d in shape if d) * dtype.itemsize > _MAX_INTP
         ):
             raise CheckpointFormatError(f"tensor {name!r}: invalid shape {shape!r}")
         if (
@@ -295,7 +274,6 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
         ):
             raise CheckpointFormatError(f"tensor {name!r}: invalid data_offsets {offsets!r}")
         start, end = offsets
-        dtype = _DTYPE_FOR_TAG[tag]
         if start < 0 or end < start:
             raise CheckpointFormatError(
                 f"tensor {name!r}: invalid byte range [{start}, {end})"

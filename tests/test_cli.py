@@ -5,11 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revla
 from revla.cli import main
 from revla.ood_eval import expand_cell, write_episode_log
 from revla.tensor_store import Checkpoint, load_checkpoint, save_checkpoint, serialize_checkpoint
@@ -56,6 +60,19 @@ def test_inspect_corrupted_header_fails_with_diagnostic(tmp_path, capsys):
     code = main(["inspect", str(bad), "--out", str(tmp_path / "o.json")])
     assert code == 1
     assert "malformed header length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [[1] * 70, [0, 10**30], [0, 2**62]],
+                         ids=["too-many-dims", "dim-past-intp", "size-past-intp"])
+def test_inspect_of_a_shape_numpy_cannot_build_names_the_tensor(tmp_path, capsys, shape):
+    nbytes = 8 if all(shape) else 0
+    header = json.dumps({"a": {"dtype": "F64", "shape": shape, "data_offsets": [0, nbytes]}}).encode()
+    bad = tmp_path / "bad.st"
+    bad.write_bytes(struct.pack("<Q", len(header)) + header + bytes(nbytes))
+    out = tmp_path / "o.json"
+    assert main(["inspect", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: tensor 'a': invalid shape {shape}\n"
+    assert not out.exists()
 
 
 def test_inspect_of_a_non_canonical_file_reports_the_canonical_digest(checkpoint_pair, tmp_path):
@@ -134,6 +151,19 @@ def test_merge_selection_matching_nothing_fails(checkpoint_pair, tmp_path, capsy
     code = main([
         "merge", str(cur_path), str(pre_path), "--alpha", "0.5", "--select", "vision.clip.*",
         "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: --select matched no tensors; top-level prefixes: ['llm', 'vision']\n"
+    assert not out.exists()
+
+
+def test_merge_selection_matching_nothing_fails_before_reading_pretrained(checkpoint_pair, tmp_path, capsys):
+    _, _, cur_path, _ = checkpoint_pair
+    out = tmp_path / "merged.st"
+    code = main([
+        "merge", str(cur_path), str(tmp_path / "missing.st"), "--alpha", "0.5",
+        "--select", "vision.clip.*", "--out", str(out),
     ])
     assert code == 1
     err = capsys.readouterr().err
@@ -496,3 +526,38 @@ def test_merge_may_overwrite_its_current_input(checkpoint_pair, tmp_path):
     assert main(["merge", *args, "--out", str(cur_path)]) == 0
     assert cur_path.read_bytes() == expected.read_bytes()
     assert cur_path.read_bytes() != serialize_checkpoint(current)
+
+
+_RUN_CLI_THEN_REPORT_NUMPY = """
+import runpy, sys
+sys.path.insert(0, {root!r})
+sys.argv = ["revla", *{argv!r}]
+try:
+    runpy.run_module("revla.cli", run_name="__main__")
+finally:
+    print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["eval", "episodes.jsonl"],
+    ["schedule", "--total-steps", "10", "--stage-length", "5"],
+], ids=["version", "eval", "schedule"])
+def test_commands_that_use_no_numpy_never_load_it(tmp_path, argv):
+    write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=2, lift_successes=1),
+                      tmp_path / "episodes.jsonl")
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    code = _RUN_CLI_THEN_REPORT_NUMPY.format(root=root, argv=argv)
+    result = subprocess.run([sys.executable, "-I", "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_importing_the_cli_and_schedule_leaves_numpy_unloaded():
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {root!r}); "
+            "import revla.cli, revla.schedule; print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

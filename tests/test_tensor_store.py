@@ -319,6 +319,15 @@ def test_load_and_merge_copy_each_byte_at_most_once(tmp_path):
     assert _traced_peak(linear_merge, current, pretrained, spec) <= 0.75 * ckpt_bytes
 
 
+def test_merge_holds_each_blended_tensor_once(tmp_path):
+    # each blended tensor is frozen as it is computed, so the peak is the
+    # selected quarter once plus the last tensor's float result (5/16)
+    current, pretrained, _ = _invariant_pair(tmp_path)
+    ckpt_bytes = sum(current[name].nbytes for name in current)
+    spec = MergeSpec(0.3, Selector(["g0.*"]))
+    assert _traced_peak(linear_merge, current, pretrained, spec) <= 0.32 * ckpt_bytes
+
+
 def test_serializing_a_loaded_canonical_file_copies_nothing(tmp_path):
     _, _, path = _invariant_pair(tmp_path)  # 16 f64 tensors, 8 MiB
     loaded = load_checkpoint(path)
