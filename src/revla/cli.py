@@ -10,7 +10,6 @@ variable (error, warn, info, debug).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import json
 import logging
@@ -117,18 +116,23 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor  # imported here to keep startup fast
+    import hashlib  # imported here to keep startup fast
+    from concurrent.futures import ThreadPoolExecutor
 
     from .tensor_store import _TAG_FOR_DTYPE
 
     ckpt = load_checkpoint(args.checkpoint)
+    canonical = serialize_checkpoint(ckpt)
     # hashlib releases the GIL on a large buffer, so the file hashes on another core meanwhile
     pool = ThreadPoolExecutor(1)
-    file_hash = pool.submit(hashlib.sha256, serialize_checkpoint(ckpt))
+    file_hash = pool.submit(hashlib.sha256, canonical)
     pool.shutdown(wait=False)  # the submitted hash still runs; the worker exits after it
+    # each tensor is hashed where it lies in the canonical bytes, so the file is read once
+    data = memoryview(canonical)[8 + int.from_bytes(canonical[:8], "little"):]
     rows = []
     for meta in ckpt.metas():
-        digest = hashlib.sha256(ckpt[meta.name]).hexdigest()
+        start, end = meta.byte_range
+        digest = hashlib.sha256(data[start:end]).hexdigest()
         rows.append({
             "name": meta.name,
             "dtype": _TAG_FOR_DTYPE[meta.dtype].lower(),

@@ -46,7 +46,8 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
 
     Every selected element becomes ``(1 - alpha) * current + alpha *
     pretrained``, evaluated in the tensor's dtype. Unselected tensors are
-    copied from ``current`` byte for byte.
+    copied from ``current`` byte for byte; of a loaded checkpoint they stay
+    unread in its file.
     """
     names = select(current, spec.selector)
     _require_compatible(current, pretrained, names)
@@ -55,11 +56,13 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
         return current.replace({})
     updates: dict[str, np.ndarray] = {}
     for name in names:
-        cur, pre = current[name], pretrained[name]
+        pre = pretrained[name]
         if alpha == 1.0:
             # copied, not recomputed: 0.0 * x flips the sign of zero
             updates[name] = pre
-        elif same_bits(cur, pre):
+            continue
+        cur = current[name]
+        if same_bits(cur, pre):
             # equal endpoints: interpolation is the identity exactly, which
             # the float evaluation below would only approximate
             updates[name] = cur

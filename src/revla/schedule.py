@@ -29,6 +29,9 @@ MODES = (MODE_GRADUAL, MODE_FLIP)
 DINO_PATTERNS = ("vision.dino.*",)
 SIGLIP_PATTERNS = ("vision.siglip.*",)
 VARIANTS = ("D_flip", "D_gradual", "DS_flip", "DS_gradual")
+# The boundary table is built whole, at about 500 bytes a stage: 100,000
+# stages take about 67 MB, so a mistyped step count cannot ask for gigabytes.
+MAX_STAGES = 100_000
 
 
 class ScheduleError(ValueError):
@@ -70,6 +73,11 @@ class Schedule:
             raise ScheduleError(
                 "stage length must divide total steps "
                 f"({self.total_steps} % {self.stage_length} != 0)"
+            )
+        if self.stage_count > MAX_STAGES:
+            raise ScheduleError(
+                f"a schedule has at most {MAX_STAGES} stages, got {self.stage_count} "
+                f"({self.total_steps} steps / stage length {self.stage_length})"
             )
 
     @property

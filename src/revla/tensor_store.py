@@ -11,6 +11,10 @@ Canonical serialization orders tensors lexicographically by name, packs the
 data section without gaps, and pads the header with spaces to an 8-byte
 multiple, which makes byte output a deterministic function of the
 checkpoint's contents.
+
+A loaded checkpoint keeps its file open and reads each tensor from it when
+the tensor is used, so a merge or a save holds about one input tensor at a
+time on top of what it computes.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ import json
 import math
 import os
 import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,13 +65,69 @@ def _expected_nbytes(dtype: np.dtype, shape: tuple[int, ...]) -> int:
     return count * dtype.itemsize
 
 
+class _Source:
+    """An open checkpoint file that tensors are read from when they are used.
+
+    Its inode, size and modification time are recorded at open and checked
+    before every read, so a file changed since it was loaded fails instead of
+    yielding a wrong tensor. A same-size rewrite within one timestamp tick of
+    the file system goes unseen. Renaming a new file over the path (as
+    ``save_checkpoint`` does) leaves this open file as it was.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        weakref.finalize(self, self._file.close)
+        self._lock = threading.Lock()  # a read moves the file's one position
+        self._stamp = self._stat()
+        self.size = self._stamp[1]
+        self.head = b""  # the length field and header, once the loader has read them
+
+    def _stat(self) -> tuple[int, int, int]:
+        st = os.fstat(self._file.fileno())
+        return st.st_ino, st.st_size, st.st_mtime_ns
+
+    def read(self, offset: int, nbytes: int) -> bytes:
+        """``nbytes`` bytes from ``offset``, in one new ``bytes`` object."""
+        with self._lock:
+            if self._stat() == self._stamp:
+                # A new buffered reader keeps no bytes from an earlier read, and
+                # repeats the system call until it has them all: one call stops
+                # short of 2 GiB on Linux.
+                with open(self._file.fileno(), "rb", closefd=False) as reader:
+                    reader.seek(offset)
+                    data = reader.read(nbytes)
+                if len(data) == nbytes:
+                    return data
+        raise CheckpointFormatError(f"{self.path} changed since it was loaded")
+
+
+class _Stored(NamedTuple):
+    """A tensor left in its file: read on every access, never cached."""
+
+    source: _Source
+    offset: int
+    shape: tuple[int, ...]
+    dtype: np.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return _expected_nbytes(self.dtype, self.shape)
+
+    def read(self) -> np.ndarray:
+        return np.ndarray(self.shape, self.dtype, self.source.read(self.offset, self.nbytes))
+
+
 class Checkpoint:
     """Immutable, name-ordered collection of dense float tensors.
 
     Every tensor is a C-contiguous array whose ``base`` is an immutable
     ``bytes`` object, so it can never be made writable. Such arrays are
     adopted and shared; anything else is copied once. A loaded checkpoint's
-    tensors view the file's bytes and keep them alive. Iteration is by name.
+    tensors stay in its file: indexing reads one into a new array each time,
+    and names, shapes and dtypes are known without reading any. Iteration
+    is by name.
     """
 
     def __init__(
@@ -79,7 +141,11 @@ class Checkpoint:
                 raise CheckpointFormatError(f"invalid tensor name: {name!r}")
             if name == _METADATA_KEY:
                 raise CheckpointFormatError(f"{_METADATA_KEY!r} is reserved")
-            arr = np.asarray(tensors[name])
+            arr = tensors[name]
+            if isinstance(arr, _Stored):
+                frozen[name] = arr
+                continue
+            arr = np.asarray(arr)
             if arr.dtype not in _TAG_FOR_DTYPE:
                 raise CheckpointFormatError(
                     f"tensor {name!r}: unsupported dtype {arr.dtype}; "
@@ -103,7 +169,8 @@ class Checkpoint:
         return list(self._tensors)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._tensors[name]
+        tensor = self._tensors[name]
+        return tensor.read() if isinstance(tensor, _Stored) else tensor
 
     def __contains__(self, name: object) -> bool:
         return name in self._tensors
@@ -125,7 +192,7 @@ class Checkpoint:
         return out
 
     def replace(self, updates: Mapping[str, np.ndarray]) -> "Checkpoint":
-        """New checkpoint with some tensors swapped out."""
+        """New checkpoint with some tensors swapped out; the others are not read."""
         tensors = dict(self._tensors)
         tensors.update(updates)
         return Checkpoint(tensors, self._metadata)
@@ -135,7 +202,7 @@ class Checkpoint:
             return NotImplemented
         if self.names() != other.names() or self._metadata != other._metadata:
             return False
-        return all(same_bits(arr, other[name]) for name, arr in self._tensors.items())
+        return all(same_bits(self[name], other[name]) for name in self._tensors)
 
     def __repr__(self) -> str:
         return f"Checkpoint({len(self)} tensors)"
@@ -213,7 +280,7 @@ def validate_compat(a: Checkpoint, b: Checkpoint, names: Iterable[str] | None = 
             missing_b.append(name)
         if not (in_a and in_b):
             continue
-        ta, tb = a[name], b[name]
+        ta, tb = a._tensors[name], b._tensors[name]  # shape and dtype only: nothing is read
         if ta.shape != tb.shape:
             shape_mm.append((name, ta.shape, tb.shape))
         if ta.dtype != tb.dtype:
@@ -315,27 +382,33 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Load a checkpoint file, validating the header against the data section."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER_LEN_SIZE:
+    """Open a checkpoint file and validate its header against the data section.
+
+    No tensor is read here: the file stays open, and each tensor is read
+    from it whenever it is used. Reading from a file that changed since it
+    was loaded raises ``CheckpointFormatError``.
+    """
+    source = _Source(path)
+    if source.size < _HEADER_LEN_SIZE:
         raise CheckpointFormatError(
-            f"malformed header length: file is only {len(raw)} bytes"
+            f"malformed header length: file is only {source.size} bytes"
         )
-    (header_len,) = struct.unpack("<Q", raw[:_HEADER_LEN_SIZE])
+    (header_len,) = struct.unpack("<Q", source.read(0, _HEADER_LEN_SIZE))
     if header_len > _MAX_HEADER_LEN:
         raise CheckpointFormatError(
             f"malformed header length: header of {header_len} bytes exceeds "
             f"the {_MAX_HEADER_LEN}-byte limit"
         )
     data_start = _HEADER_LEN_SIZE + header_len
-    if data_start > len(raw):
+    if data_start > source.size:
         raise CheckpointFormatError(
             f"malformed header length: header of {header_len} bytes exceeds "
-            f"file size {len(raw)}"
+            f"file size {source.size}"
         )
-    metas, metadata = _parse_header(raw[_HEADER_LEN_SIZE:data_start], len(raw) - data_start)
+    source.head = source.read(0, data_start)
+    metas, metadata = _parse_header(source.head[_HEADER_LEN_SIZE:], source.size - data_start)
     tensors = {
-        meta.name: np.ndarray(meta.shape, meta.dtype, raw, data_start + meta.byte_range[0])
+        meta.name: _Stored(source, data_start + meta.byte_range[0], meta.shape, meta.dtype)
         for meta in metas
     }
     return Checkpoint(tensors, metadata or None)
@@ -360,40 +433,37 @@ def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes | memoryview]:
         yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data
 
 
-def _held_file(ckpt: Checkpoint, head: bytes) -> bytes | None:
-    """The ``bytes`` object that already is ``ckpt``'s canonical file, if one is.
+def _whole_file(ckpt: Checkpoint, head: bytes) -> bytes | None:
+    """``ckpt``'s canonical file read in one piece, if it is one file on disk.
 
-    That holds when every tensor starts at exactly its canonical offset in
-    the first tensor's ``base`` (so all of them view that one object), the
-    object begins with the canonical ``head``, and it ends where the last
-    tensor ends, as for a checkpoint loaded from a canonical file.
+    That holds when every tensor is still in one loaded file whose header
+    is the canonical ``head``, as for a checkpoint loaded from a canonical
+    file and not changed since: that file is then exactly the canonical
+    serialization.
     """
     tensors = list(ckpt._tensors.values())
-    if not tensors:
+    if not tensors or not isinstance(tensors[0], _Stored):
         return None
-    held = tensors[0].base
-    if len(held) != len(head) + sum(arr.nbytes for arr in tensors) or not held.startswith(head):
+    source = tensors[0].source
+    if source.head != head or not all(
+        isinstance(tensor, _Stored) and tensor.source is source for tensor in tensors
+    ):
         return None
-    address = np.frombuffer(held, np.uint8).__array_interface__["data"][0] + len(head)
-    for arr in tensors:
-        if arr.__array_interface__["data"][0] != address:
-            return None
-        address += arr.nbytes
-    return held
+    return source.read(0, source.size)
 
 
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
     """Canonical byte serialization; equal checkpoints yield equal bytes.
 
-    When the checkpoint's tensors already view its whole canonical file in
-    one ``bytes`` object, that object is returned: it is immutable, so
-    sharing it is safe, and nothing is copied.
+    A checkpoint loaded from a canonical file and not changed since is that
+    file, which is then read in one piece; otherwise the canonical parts are
+    joined once.
     """
     parts = _canonical_parts(ckpt)
     head = next(parts)
-    held = _held_file(ckpt, head)
-    if held is not None:
-        return held
+    whole = _whole_file(ckpt, head)
+    if whole is not None:
+        return whole
     return b"".join([head, *parts])
 
 

@@ -519,13 +519,17 @@ def test_merged_checkpoint_loads_back(checkpoint_pair, tmp_path):
 
 
 def test_merge_may_overwrite_its_current_input(checkpoint_pair, tmp_path):
+    # either input may be the output: the merged file is renamed over it
+    # while the loaded checkpoint still reads the old file
     current, pretrained, cur_path, pre_path = checkpoint_pair
     expected = tmp_path / "expected.st"
     args = [str(cur_path), str(pre_path), "--alpha", "0.25", "--select", "vision.*"]
     assert main(["merge", *args, "--out", str(expected)]) == 0
-    assert main(["merge", *args, "--out", str(cur_path)]) == 0
-    assert cur_path.read_bytes() == expected.read_bytes()
-    assert cur_path.read_bytes() != serialize_checkpoint(current)
+    for target, original in ((cur_path, current), (pre_path, pretrained)):
+        assert main(["merge", *args, "--out", str(target)]) == 0
+        assert target.read_bytes() == expected.read_bytes()
+        assert target.read_bytes() != serialize_checkpoint(original)
+        save_checkpoint(original, target)
 
 
 _RUN_CLI_THEN_REPORT_NUMPY = """

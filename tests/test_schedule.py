@@ -97,6 +97,12 @@ def test_invalid_schedule_fields_rejected():
         Schedule("flip", 60, True)
 
 
+def test_stage_count_is_capped():
+    assert Schedule.gradual(100_000, 1).stage_count == 100_000
+    with pytest.raises(ScheduleError, match=r"^a schedule has at most 100000 stages, got 100001 "):
+        Schedule.gradual(100_001, 1)
+
+
 # --- plans and staged merging ---------------------------------------------
 
 

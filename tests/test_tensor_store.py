@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revla.tensor_store as tensor_store
+from revla.cli import main
 from revla.merge import MergeSpec, linear_merge
 from revla.tensor_store import (
     Checkpoint,
@@ -329,12 +333,70 @@ def test_merge_holds_each_blended_tensor_once(tmp_path):
 
 
 def test_serializing_a_loaded_canonical_file_copies_nothing(tmp_path):
+    # a load reads only the header, and serializing reads the file once
     _, _, path = _invariant_pair(tmp_path)  # 16 f64 tensors, 8 MiB
-    loaded = load_checkpoint(path)
-    assert _traced_peak(serialize_checkpoint, loaded) < 64 * 1024
-    canonical = serialize_checkpoint(loaded)
-    assert canonical is loaded["g0.w0"].base
-    assert canonical == path.read_bytes()
+    assert _traced_peak(load_checkpoint, path) < 64 * 1024
+    file_bytes = path.stat().st_size
+    assert _traced_peak(lambda: serialize_checkpoint(load_checkpoint(path))) <= 1.25 * file_bytes
+    assert serialize_checkpoint(load_checkpoint(path)) == path.read_bytes()
+
+
+def test_merge_command_holds_the_blended_bytes_not_its_inputs(tmp_path):
+    # the inputs stay in their files: a merge holds what it blends (a
+    # quarter) plus a few tensors in flight, and streams the rest to disk
+    current, pretrained, cur_path = _invariant_pair(tmp_path)
+    pre_path, out = tmp_path / "pretrained.st", tmp_path / "merged.st"
+    save_checkpoint(pretrained, pre_path)
+    argv = ["merge", str(cur_path), str(pre_path), "--alpha", "0.3", "--select", "g0.*", "--out", str(out)]
+    assert _traced_peak(main, argv) <= 0.5 * cur_path.stat().st_size
+    assert load_checkpoint(out) == linear_merge(current, pretrained, MergeSpec(0.3, Selector(["g0.*"])))
+
+
+def _changed_since_loaded(path):
+    return pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))} changed since it was loaded$")
+
+
+def test_a_file_rewritten_after_loading_fails(tmp_path):
+    path = write_file(tmp_path, build_file_bytes(_entries()))
+    ckpt = load_checkpoint(path)
+    raw, stat = path.read_bytes(), path.stat()
+    path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))  # same size, one bit flipped
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+    with _changed_since_loaded(path):
+        ckpt["d.w"]
+    with _changed_since_loaded(path):
+        serialize_checkpoint(ckpt)
+
+
+def test_a_file_truncated_after_loading_fails(tmp_path, monkeypatch):
+    path = write_file(tmp_path, build_file_bytes(_entries()))
+    ckpt = load_checkpoint(path)
+    os.truncate(path, path.stat().st_size - 4)
+    with _changed_since_loaded(path):
+        ckpt["d.w"]
+    # a read that comes back short fails the same way, even if the file looked unchanged
+    monkeypatch.setattr(tensor_store._Source, "_stat", lambda source: source._stamp)
+    with _changed_since_loaded(path):
+        ckpt["d.w"]
+    assert ckpt["a.w"].tobytes() == _entries()[0][1].tobytes()
+
+
+def test_a_file_replaced_after_loading_still_reads_as_loaded(tmp_path):
+    path = write_file(tmp_path, build_file_bytes(_entries()))
+    ckpt = load_checkpoint(path)
+    save_checkpoint(Checkpoint({"w": np.ones(3)}), path)
+    assert ckpt == Checkpoint(dict(_entries()))
+
+
+def test_a_dropped_checkpoint_closes_its_file(tmp_path):
+    path = write_file(tmp_path, build_file_bytes(_entries()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ckpt = load_checkpoint(path)
+        ckpt["a.w"]
+        del ckpt
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def _entries():
@@ -389,8 +451,8 @@ def _views_of_a_file_with_bytes_after_it(tmp_path):
     return Checkpoint(tensors)
 
 
-# Each case builds a checkpoint and says whether its tensors already view
-# the whole canonical file, which serializing then returns uncopied.
+# Each case builds a checkpoint and says whether its tensors all lie in one
+# loaded canonical file, which serializing then reads in one piece.
 SERIALIZE_CASES = {
     "canonical file": (lambda tmp: _loaded(tmp, build_file_bytes(_entries())), True),
     "canonical file with metadata": (
@@ -415,13 +477,17 @@ SERIALIZE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(SERIALIZE_CASES))
-def test_serialize_equals_the_joined_canonical_parts(case, tmp_path):
+def test_serialize_equals_the_joined_canonical_parts(case, tmp_path, monkeypatch):
     build, held = SERIALIZE_CASES[case]
     ckpt = build(tmp_path)
-    canonical = serialize_checkpoint(ckpt)
+    reads = []
+    read = tensor_store._Source.read
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor_store._Source, "read",
+                      lambda source, offset, nbytes: reads.append((offset, nbytes)) or read(source, offset, nbytes))
+        canonical = serialize_checkpoint(ckpt)
     assert canonical == b"".join(tensor_store._canonical_parts(ckpt))
-    tensors = [ckpt[name] for name in ckpt]
-    assert (bool(tensors) and canonical is tensors[0].base) == held
+    assert (reads == [(0, len(canonical))]) == held
     assert load_checkpoint(write_file(tmp_path, canonical, "canonical.st")) == ckpt
 
 
