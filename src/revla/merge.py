@@ -22,6 +22,9 @@ class MergeCompatibilityError(ValueError):
         super().__init__(f"checkpoints are not mergeable:\n{report.describe()}")
         self.report = report
 
+    def __reduce__(self):
+        return type(self), (self.report,)
+
 
 @dataclass(frozen=True)
 class MergeSpec:

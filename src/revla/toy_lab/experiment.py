@@ -9,14 +9,21 @@ every plan's phase 3 starts from the same fine-tuned snapshot; each
 stage merges the original (fine-tuned, pretrained) pair, so the trajectory
 equals direct interpolation evaluated at every boundary alpha. Task-A probe
 error is measured after each phase.
+
+The plans' phase-3 runs share no state, so they are split across the usable
+cores: forked workers run all but the first slice of plans and send back
+only what differs per plan, while the calling process runs the first slice
+and assembles every report.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -141,23 +148,31 @@ def _shared_phases(config: LabConfig) -> _SharedPhases:
     )
 
 
+class _Reversal(NamedTuple):
+    """What phase 3 computes for one plan; the rest of its report is shared."""
+
+    probe_err: float
+    task_b_err: float
+    encoder_bitwise_reverted: bool
+    losses: list[float]
+
+
 def _reverse(
     plan: MergePlan,
     config: LabConfig,
     shared: _SharedPhases,
     on_stage: StageHook | None,
     checkpoint_dir: Path | None,
-) -> ExperimentReport:
+) -> _Reversal:
     """Phase 3 for one plan, starting from the fine-tuned snapshot."""
     task_a = TaskSpec(TASK_A_DEPTH, config.seed)
     task_b = TaskSpec(TASK_B_ACTION, config.seed)
     model = ToyModel.from_checkpoint(shared.finetuned)
-    boundaries = stage_boundaries(plan.schedule)
     encoder_freeze = Selector(ENCODER_PATTERNS)
     reversal_rng = stream_rng(task_b, STREAM_REVERSAL_TRAIN)
     reversal_losses: list[float] = []
     stage_length = plan.schedule.stage_length
-    for step, alpha in boundaries:
+    for step, alpha in stage_boundaries(plan.schedule):
         merged = apply_stage(shared.finetuned, shared.pretrained, plan, step)
         model.load_tensors(merged, select(merged, plan.selector))
         if on_stage is not None:
@@ -177,22 +192,108 @@ def _reverse(
         for label, ckpt in snapshots.items():
             save_checkpoint(ckpt, checkpoint_dir / f"{plan.variant_name}_{label}.safetensors")
 
+    return _Reversal(
+        probe_rev, task_b_err, _encoders_equal(final, shared.pretrained), reversal_losses
+    )
+
+
+def _report(
+    plan: MergePlan, config: LabConfig, shared: _SharedPhases, reversal: _Reversal
+) -> ExperimentReport:
+    """One plan's report; each report gets its own copy of the shared loss curves."""
     return ExperimentReport(
         variant_name=plan.variant_name,
         seed=config.seed,
         probe_err_pretrained=shared.probe_err_pretrained,
         probe_err_after_finetune=shared.probe_err_after_finetune,
-        probe_err_after_reversal=probe_rev,
-        taskB_final_err=task_b_err,
-        encoder_bitwise_reverted=_encoders_equal(final, shared.pretrained),
-        stage_alphas=list(boundaries),
+        probe_err_after_reversal=reversal.probe_err,
+        taskB_final_err=reversal.task_b_err,
+        encoder_bitwise_reverted=reversal.encoder_bitwise_reverted,
+        stage_alphas=list(stage_boundaries(plan.schedule)),
         loss_curves={
             "pretrain": list(shared.pretrain_losses),
             "finetune": list(shared.finetune_losses),
-            "reversal": reversal_losses,
+            "reversal": reversal.losses,
         },
         config=config.to_dict(),
     )
+
+
+def _run_in_worker(
+    reverse: Callable[[MergePlan], _Reversal], plans: list[MergePlan], write_fd: int
+) -> NoReturn:
+    """In a forked worker: pickle ``(True, results)`` or ``(False, exception)`` to the pipe, then exit.
+
+    ``os._exit`` skips the caller's cleanup (atexit hooks, buffered stdio,
+    pending ``finally`` blocks) that the worker inherited at the fork.
+    """
+    status = 1
+    try:
+        try:
+            outcome = (True, [reverse(plan) for plan in plans])
+        except BaseException as exc:
+            outcome = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reverse_on_cores(
+    reverse: Callable[[MergePlan], _Reversal], plans: list[MergePlan]
+) -> list[_Reversal]:
+    """``[reverse(plan) for plan in plans]``, split into contiguous slices, one per usable core.
+
+    Forked workers run every slice but the first, which the calling process
+    runs itself. A worker's exception is re-raised here as it was raised
+    there. If the caller's slice fails, the workers are killed. Every worker
+    is reaped before this returns or raises.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(len(plans), cores)
+    if k < 2:
+        return [reverse(plan) for plan in plans]
+    cuts = [len(plans) * i // k for i in range(k + 1)]
+    slices = [plans[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    # numpy's OpenBLAS shuts its thread pool down before a fork (a pthread_atfork
+    # handler) and restarts it on use, so forking after numpy has run is safe
+    workers: dict[int, BinaryIO] = {}  # pid -> read end of the pipe it writes its outcome to
+    try:
+        for part in slices[1:]:
+            read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
+            try:
+                pid = os.fork()
+            except BaseException:
+                pipe.close()
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_in_worker(reverse, part, write_fd)
+            os.close(write_fd)
+            workers[pid] = pipe
+        results = [reverse(plan) for plan in slices[0]]
+        for pid, pipe in list(workers.items()):
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if not payload:
+                raise RuntimeError(f"lab worker {pid} sent no result (wait status {status})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        if workers:
+            import signal  # only a failed call needs it; importing it costs the lab child 40 KB
+
+            for pid, pipe in workers.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def run_reversal_experiment(
@@ -208,13 +309,26 @@ def run_reversal_experiment(
     the plan alone. ``on_stage`` is called after each boundary merge with
     (step, alpha, full checkpoint). With ``checkpoint_dir`` set, each plan's
     pretrained, fine-tuned, and final checkpoints are written there.
+
+    The reversals run in forked workers, one per usable core, unless there
+    is one plan, one usable core, or an ``on_stage`` hook, which must run in
+    the calling process. Reports and checkpoints are the same either way.
     """
     shared = _shared_phases(config)
     out = None
     if checkpoint_dir is not None:
         out = Path(checkpoint_dir)
         out.mkdir(parents=True, exist_ok=True)
-    return [_reverse(plan, config, shared, on_stage, out) for plan in plans]
+
+    def reverse(plan: MergePlan) -> _Reversal:
+        return _reverse(plan, config, shared, on_stage, out)
+
+    plans = list(plans)
+    if on_stage is None:
+        reversals = _reverse_on_cores(reverse, plans)
+    else:
+        reversals = [reverse(plan) for plan in plans]
+    return [_report(plan, config, shared, rev) for plan, rev in zip(plans, reversals)]
 
 
 def render_comparison(reports: list[ExperimentReport]) -> str:

@@ -130,7 +130,7 @@ def grad(
         raise ValueError("gradient requires a non-empty batch")
     frozen = select(PARAM_SHAPES, freeze) if freeze is not None else ()
     trained = frozenset(PARAM_SHAPES).difference(frozen)
-    _, grads = _predict_and_grad(model, x, targets, head, trained)
+    _, _, grads = _predict_and_grad(model, x, targets, head, trained)
     return {
         name: grads[name] if name in grads else np.zeros(shape)
         for name, shape in PARAM_SHAPES.items()
@@ -139,12 +139,13 @@ def grad(
 
 def _predict_and_grad(
     model: ToyModel, x: np.ndarray, targets: np.ndarray, head: str, trained: frozenset[str]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The head's predictions and the gradients of the ``trained`` parameters, in one pass.
+) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
+    """The head's predictions, the MSE loss and the ``trained`` parameters' gradients, in one pass.
 
-    The predictions are bitwise equal to what ``forward`` gives. The encoder
-    backward pass runs only if an encoder parameter is trained. Inputs are
-    taken as f64 arrays; ``grad`` checks them first.
+    The predictions are bitwise equal to what ``forward`` gives, and the loss
+    to ``float(np.mean((preds - targets) ** 2))``. The encoder backward pass
+    runs only if an encoder parameter is trained. Inputs are taken as f64
+    arrays; ``grad`` checks them first.
     """
     w, b = _head_params(model, head)
     h1, feats = _encode(model.params, x)
@@ -152,14 +153,17 @@ def _predict_and_grad(
     if preds.shape != targets.shape:
         raise ValueError(f"targets shape {targets.shape} != predictions shape {preds.shape}")
 
+    residual = preds - targets
+    # np.mean's own sum and division, without its dispatch overhead
+    loss = float(np.add.reduce(residual * residual, axis=None) / residual.size)
     grads: dict[str, np.ndarray] = {}
-    dpred = 2.0 * (preds - targets) / targets.size
+    dpred = 2.0 * residual / targets.size
     if f"head_{head}.weight" in trained:
         grads[f"head_{head}.weight"] = dpred.T @ feats
     if f"head_{head}.bias" in trained:
         grads[f"head_{head}.bias"] = dpred.sum(axis=0)
     if trained.isdisjoint(ENCODER_NAMES):
-        return preds, grads
+        return preds, loss, grads
     dz2 = (dpred @ w) * (1.0 - feats * feats)
     dz1 = (dz2 @ model.params["vision.dino.layer2.weight"]) * (1.0 - h1 * h1)
     encoder_grads = {
@@ -169,4 +173,4 @@ def _predict_and_grad(
         "vision.dino.layer1.bias": dz1.sum(axis=0),
     }
     grads.update((name, g) for name, g in encoder_grads.items() if name in trained)
-    return preds, grads
+    return preds, loss, grads

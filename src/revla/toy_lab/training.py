@@ -33,6 +33,10 @@ class TrainingDiverged(RuntimeError):
         self.step = step
         self.loss = loss
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it crosses a pickle (a lab worker's pipe)
+        return type(self), (self.step, self.loss)
+
 
 def train(
     model: ToyModel,
@@ -65,8 +69,7 @@ def train(
     for step in range(steps):
         x = sample_inputs(rng, BATCH_SIZE)
         y = targets(task, x)
-        preds, grads = _predict_and_grad(out, x, y, head, trained)
-        loss = float(np.mean((preds - y) ** 2))
+        _, loss, grads = _predict_and_grad(out, x, y, head, trained)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)
         losses.append(loss)

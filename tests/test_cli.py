@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 import revla
+import revla.toy_lab.experiment as experiment
 from revla.cli import main
 from revla.ood_eval import expand_cell, write_episode_log
 from revla.tensor_store import Checkpoint, load_checkpoint, save_checkpoint, serialize_checkpoint
+from revla.toy_lab import TrainingDiverged
 
 OPENVLA_CELLS = {
     ("pear", "single"): 7,
@@ -334,6 +337,23 @@ def test_lab_all_variants_writes_four_reports(tmp_path):
         assert variant in comparison
 
 
+def test_lab_divergence_in_a_worker_fails_with_one_line(tmp_path, monkeypatch, capsys):
+    caller, real_train = os.getpid(), experiment.train
+
+    def train(*args, **kwargs):
+        if os.getpid() != caller:
+            raise TrainingDiverged(4, float("nan"))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiment, "train", train)
+    code = main(["lab", "--variant", "all", "--seed", "3", "--out", str(tmp_path / "r")] + LAB_FAST)
+    assert code == 1
+    assert capsys.readouterr().err == "error: training diverged at step 4: loss=nan\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_lab_config_file_with_flag_override(tmp_path):
     config = tmp_path / "lab.json"
     config.write_text(json.dumps({
@@ -553,7 +573,8 @@ def test_commands_that_use_no_numpy_never_load_it(tmp_path, argv):
                       tmp_path / "episodes.jsonl")
     root = str(Path(revla.__file__).resolve().parent.parent)
     code = _RUN_CLI_THEN_REPORT_NUMPY.format(root=root, argv=argv)
-    result = subprocess.run([sys.executable, "-I", "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,
+                            text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
 
@@ -562,6 +583,6 @@ def test_importing_the_cli_and_schedule_leaves_numpy_unloaded():
     root = str(Path(revla.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {root!r}); "
             "import revla.cli, revla.schedule; print('numpy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"

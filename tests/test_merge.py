@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_incompatible_selected_tensors_rejected():
     pre = Checkpoint({"w": np.zeros(4)})
     with pytest.raises(MergeCompatibilityError, match="shape mismatch"):
         linear_merge(cur, pre, MergeSpec(0.5, ALL))
+
+
+def test_merge_compatibility_error_survives_pickling():
+    cur = Checkpoint({"a": np.zeros(3), "b": np.zeros(2, dtype=np.float32)})
+    pre = Checkpoint({"a": np.zeros(4), "b": np.zeros(2), "c": np.zeros(1)})
+    with pytest.raises(MergeCompatibilityError) as info:
+        linear_merge(cur, pre, MergeSpec(0.5, ALL))
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert type(copy) is MergeCompatibilityError
+    assert str(copy) == str(info.value)
+    assert copy.report == info.value.report
+    assert copy.report.shape_mismatches and copy.report.dtype_mismatches
 
 
 def test_selected_name_missing_from_pretrained_rejected():

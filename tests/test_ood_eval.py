@@ -289,7 +289,7 @@ def test_importing_the_package_and_ood_eval_leaves_numpy_unloaded():
     package_root = str(Path(revla.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {package_root!r}); "
             "import revla, revla.ood_eval; print('numpy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
 

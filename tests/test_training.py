@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -108,8 +110,10 @@ def test_fused_step_matches_grad_and_forward_bitwise(task_id, freeze, seed):
         y = targets(task, x)
         grads = grad(ref, x, y, task.head, selector)
         preds = forward(ref, x, task.head)
-        fused_preds, fused_grads = _predict_and_grad(ref, x, y, task.head, frozenset(used - frozen))
+        fused_preds, fused_loss, fused_grads = _predict_and_grad(
+            ref, x, y, task.head, frozenset(used - frozen))
         assert fused_preds.tobytes() == preds.tobytes()
+        assert fused_loss.hex() == float(np.mean((preds - y) ** 2)).hex()
         assert set(fused_grads) == used - frozen
         for name, g in grads.items():
             if name in fused_grads:
@@ -130,6 +134,15 @@ def test_fused_step_matches_grad_and_forward_bitwise(task_id, freeze, seed):
 def test_divergence_is_reported():
     with pytest.raises(TrainingDiverged, match="diverged"):
         train(ToyModel.initialize(5), TaskSpec(TASK_A_DEPTH, 5), 3000, 1e6)
+
+
+@pytest.mark.parametrize("loss", [float("nan"), float("inf")])
+def test_training_diverged_survives_pickling(loss):
+    copy = pickle.loads(pickle.dumps(TrainingDiverged(3, loss)))
+    assert type(copy) is TrainingDiverged
+    assert str(copy) == f"training diverged at step 3: loss={loss}"
+    assert copy.step == 3
+    assert copy.loss.hex() == loss.hex()
 
 
 def test_invalid_hyperparameters_rejected():
