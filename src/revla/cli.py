@@ -79,8 +79,8 @@ load_checkpoint = _on_first_call(".tensor_store", "load_checkpoint")
 save_checkpoint = _on_first_call(".tensor_store", "save_checkpoint")
 serialize_checkpoint = _on_first_call(".tensor_store", "serialize_checkpoint")
 linear_merge = _on_first_call(".merge", "linear_merge")
-run_reversal_experiment = _on_first_call(".toy_lab", "run_reversal_experiment")
-render_comparison = _on_first_call(".toy_lab", "render_comparison")
+run_reversal_experiment = _on_first_call(".toy_lab.experiment", "run_reversal_experiment")
+render_comparison = _on_first_call(".toy_lab.experiment", "render_comparison")
 
 
 def _configure_logging() -> None:
@@ -198,7 +198,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_lab(args: argparse.Namespace) -> int:
-    from .toy_lab import LabConfig
+    from .toy_lab.experiment import LabConfig
 
     settings = _settings(args)
     variant = settings.pop("variant", "all")
@@ -226,7 +226,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for log_path in args.logs:
         records.extend(parse_episode_log(log_path))
     table = aggregate(records, args.metric)
-    summary = partial_success_summary(records)
+    summary = partial_success_summary(table)
 
     ood_text = render_ood_table(table)
     print(ood_text, end="")

@@ -12,18 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_store import Checkpoint, CompatReport, Selector, same_bits, select, validate_compat
+from .tensor_store import Checkpoint, Selector, same_bits, select, validate_compat
 
 
 class MergeCompatibilityError(ValueError):
     """Selected tensors differ in presence, shape, or dtype."""
-
-    def __init__(self, report: CompatReport) -> None:
-        super().__init__(f"checkpoints are not mergeable:\n{report.describe()}")
-        self.report = report
-
-    def __reduce__(self):
-        return type(self), (self.report,)
 
 
 @dataclass(frozen=True)
@@ -39,9 +32,9 @@ class MergeSpec:
 
 
 def _require_compatible(current: Checkpoint, pretrained: Checkpoint, names: list[str]) -> None:
-    report = validate_compat(current, pretrained, names)
-    if not report.is_empty:
-        raise MergeCompatibilityError(report)
+    problems = validate_compat(current, pretrained, names)
+    if problems:
+        raise MergeCompatibilityError("checkpoints are not mergeable:\n" + "\n".join(problems))
 
 
 def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -> Checkpoint:

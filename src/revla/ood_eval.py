@@ -21,7 +21,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 OOD_OBJECTS = ("pear", "mustard_bottle", "tomato_can")
 IN_DOMAIN_OBJECT = "coke_can"
@@ -181,27 +181,23 @@ CellKey = tuple[str, str, str, str, str | None]  # policy, object, setting, prot
 _CELL_KEY_FIELDS = ("policy", "target_object", "setting", "protocol", "sub_setting")
 
 
-def _tally(
-    records: Iterable[EpisodeRecord],
-    key: Callable[[EpisodeRecord], Hashable],
-    duplicates: set[tuple] | None = None,
-) -> dict:
-    """Episode, grasp and lift counts of ``records`` grouped by ``key``.
+def _tally(records: Iterable[EpisodeRecord], duplicates: set[tuple]) -> dict[CellKey, Cell]:
+    """Episode, grasp and lift counts of ``records`` per cell.
 
-    With ``duplicates`` given, each ``(*key, episode)`` that occurs more
-    than once is added to it.
+    Each ``(*cell key, episode)`` that occurs more than once is added to
+    ``duplicates``.
     """
-    counts: dict[Hashable, tuple[int, int, int]] = {}
-    episode_ids: dict[Hashable, set[int]] = {}
+    key = attrgetter(*_CELL_KEY_FIELDS)
+    counts: dict[CellKey, tuple[int, int, int]] = {}
+    episode_ids: dict[CellKey, set[int]] = {}
     for r in records:
         k = key(r)
         episodes, grasps, lifts = counts.get(k, (0, 0, 0))
         counts[k] = (episodes + 1, grasps + r.grasp_success, lifts + r.lift_success)
-        if duplicates is not None:
-            ids = episode_ids[k] if episodes else episode_ids.setdefault(k, set())
-            if r.episode in ids:
-                duplicates.add((*k, r.episode))
-            ids.add(r.episode)
+        ids = episode_ids[k] if episodes else episode_ids.setdefault(k, set())
+        if r.episode in ids:
+            duplicates.add((*k, r.episode))
+        ids.add(r.episode)
     return {k: Cell(*c) for k, c in counts.items()}
 
 
@@ -297,7 +293,7 @@ def aggregate(records: Sequence[EpisodeRecord], success_field: str = METRIC_LIFT
     if not records:
         raise EvalLogError("no records")
     duplicates: set[tuple] = set()
-    cells = _tally(records, attrgetter(*_CELL_KEY_FIELDS), duplicates)
+    cells = _tally(records, duplicates)
     unknown = sorted({key[1:4] for key in cells} - SCENARIOS)
     if unknown:
         raise UnknownScenarioError(f"records reference undeclared scenarios: {unknown}")
@@ -308,14 +304,12 @@ def aggregate(records: Sequence[EpisodeRecord], success_field: str = METRIC_LIFT
     return SuccessTable(success_field, cells)
 
 
-def partial_success_summary(records: Sequence[EpisodeRecord]) -> dict[str, tuple[float, float]]:
-    """Overall (grasp rate, lift rate) per policy across all records."""
-    if not records:
+def partial_success_summary(table: SuccessTable) -> dict[str, tuple[float, float]]:
+    """Overall (grasp rate, lift rate) per policy, summed over the table's cells."""
+    if not table.cells:
         raise EvalLogError("no records")
-    return {
-        policy: (cell.rate(METRIC_GRASP), cell.rate(METRIC_LIFT))
-        for policy, cell in sorted(_tally(records, attrgetter("policy")).items())
-    }
+    totals = {policy: table.counts(policy) for policy in table.policies()}
+    return {policy: (c.rate(METRIC_GRASP), c.rate(METRIC_LIFT)) for policy, c in totals.items()}
 
 
 def expand_cell(

@@ -226,66 +226,36 @@ def select(source: Checkpoint | Iterable[str], selector: Selector) -> list[str]:
     return [name for name in names if selector.matches(name)]
 
 
-@dataclass(frozen=True)
-class CompatReport:
-    """Differences between two checkpoints' (name, shape, dtype) sets."""
+def validate_compat(a: Checkpoint, b: Checkpoint, names: Iterable[str] | None = None) -> list[str]:
+    """One line per difference in (name, shape, dtype), optionally restricted to ``names``.
 
-    missing_in_a: tuple[str, ...] = ()
-    missing_in_b: tuple[str, ...] = ()
-    shape_mismatches: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = ()
-    dtype_mismatches: tuple[tuple[str, str, str], ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self.missing_in_a
-            or self.missing_in_b
-            or self.shape_mismatches
-            or self.dtype_mismatches
-        )
-
-    def __bool__(self) -> bool:
-        return not self.is_empty
-
-    def describe(self) -> str:
-        if self.is_empty:
-            return "checkpoints are compatible"
-        lines = []
-        for name in self.missing_in_a:
-            lines.append(f"missing in first checkpoint: {name}")
-        for name in self.missing_in_b:
-            lines.append(f"missing in second checkpoint: {name}")
-        for name, sa, sb in self.shape_mismatches:
-            lines.append(f"shape mismatch for {name}: {list(sa)} vs {list(sb)}")
-        for name, da, db in self.dtype_mismatches:
-            lines.append(f"dtype mismatch for {name}: {da} vs {db}")
-        return "\n".join(lines)
-
-
-def validate_compat(a: Checkpoint, b: Checkpoint, names: Iterable[str] | None = None) -> CompatReport:
-    """Compare (name, shape, dtype) sets, optionally restricted to ``names``."""
+    Names missing from ``a`` come first, then those missing from ``b``, then
+    shape and dtype mismatches; an empty list means the two are compatible.
+    """
     if names is None:
         scope = sorted(set(a.names()) | set(b.names()))
     else:
         scope = sorted(set(names))
     missing_a: list[str] = []
     missing_b: list[str] = []
-    shape_mm: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-    dtype_mm: list[tuple[str, str, str]] = []
+    shape_mm: list[str] = []
+    dtype_mm: list[str] = []
     for name in scope:
         in_a, in_b = name in a, name in b
         if not in_a:
-            missing_a.append(name)
+            missing_a.append(f"missing in first checkpoint: {name}")
         if not in_b:
-            missing_b.append(name)
+            missing_b.append(f"missing in second checkpoint: {name}")
         if not (in_a and in_b):
             continue
         ta, tb = a._tensors[name], b._tensors[name]  # shape and dtype only: nothing is read
         if ta.shape != tb.shape:
-            shape_mm.append((name, ta.shape, tb.shape))
+            shape_mm.append(f"shape mismatch for {name}: {list(ta.shape)} vs {list(tb.shape)}")
         if ta.dtype != tb.dtype:
-            dtype_mm.append((name, _TAG_FOR_DTYPE[ta.dtype], _TAG_FOR_DTYPE[tb.dtype]))
-    return CompatReport(tuple(missing_a), tuple(missing_b), tuple(shape_mm), tuple(dtype_mm))
+            dtype_mm.append(
+                f"dtype mismatch for {name}: {_TAG_FOR_DTYPE[ta.dtype]} vs {_TAG_FOR_DTYPE[tb.dtype]}"
+            )
+    return missing_a + missing_b + shape_mm + dtype_mm
 
 
 def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[str, str]]:

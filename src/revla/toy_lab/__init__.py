@@ -1,55 +1,1 @@
 """Desk-scale training lab: a shared encoder that forgets and recovers."""
-
-from .experiment import (
-    ExperimentReport,
-    LabConfig,
-    render_comparison,
-    run_reversal_experiment,
-)
-from .model import (
-    D_FEATURE,
-    D_HIDDEN,
-    D_IN,
-    ENCODER_PATTERNS,
-    HEAD_A,
-    HEAD_B,
-    PARAM_SHAPES,
-    ToyModel,
-    forward,
-    grad,
-)
-from .tasks import TASK_A_DEPTH, TASK_B_ACTION, TaskSpec, make_dataset, targets
-from .training import (
-    TrainingDiverged,
-    fit_ridge_readout,
-    probe_linear,
-    readout_mse,
-    train,
-)
-
-__all__ = [
-    "D_FEATURE",
-    "D_HIDDEN",
-    "D_IN",
-    "ENCODER_PATTERNS",
-    "ExperimentReport",
-    "HEAD_A",
-    "HEAD_B",
-    "LabConfig",
-    "PARAM_SHAPES",
-    "TASK_A_DEPTH",
-    "TASK_B_ACTION",
-    "TaskSpec",
-    "ToyModel",
-    "TrainingDiverged",
-    "fit_ridge_readout",
-    "forward",
-    "grad",
-    "make_dataset",
-    "probe_linear",
-    "readout_mse",
-    "render_comparison",
-    "run_reversal_experiment",
-    "targets",
-    "train",
-]

@@ -12,8 +12,7 @@ error is measured after each phase.
 
 The plans' phase-3 runs share no state, so they are split across the usable
 cores: forked workers run all but the first slice of plans and send back
-only what differs per plan, while the calling process runs the first slice
-and assembles every report.
+their reports, while the calling process runs the first slice itself.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import os
 import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple, NoReturn, Sequence
+from typing import BinaryIO, Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -47,8 +46,6 @@ _FIXED_SETTINGS = {
     "probe_heldout_count": PROBE_COUNT,
     "eval_count": EVAL_COUNT,
 }
-
-StageHook = Callable[[int, float, Checkpoint], None]
 
 
 @dataclass(frozen=True)
@@ -93,31 +90,15 @@ class ExperimentReport:
         return self.probe_err_after_finetune / self.probe_err_pretrained
 
     def to_dict(self) -> dict:
-        return {
-            "variant_name": self.variant_name,
-            "seed": self.seed,
-            "probe_err_pretrained": self.probe_err_pretrained,
-            "probe_err_after_finetune": self.probe_err_after_finetune,
-            "probe_err_after_reversal": self.probe_err_after_reversal,
-            "forgetting_ratio": self.forgetting_ratio,
-            "taskB_final_err": self.taskB_final_err,
-            "encoder_bitwise_reverted": self.encoder_bitwise_reverted,
-            "stage_alphas": [[step, alpha] for step, alpha in self.stage_alphas],
-            "loss_curves": self.loss_curves,
-            "config": self.config,
-        }
+        # not asdict: its deep copy of the 15,000 loss floats would cost over 10 ms per report
+        return {**vars(self), "forgetting_ratio": self.forgetting_ratio}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _encoder_names(ckpt: Checkpoint) -> list[str]:
-    return select(ckpt, Selector(ENCODER_PATTERNS))
-
-
 def _encoders_equal(a: Checkpoint, b: Checkpoint) -> bool:
-    names = _encoder_names(a)
-    return all(same_bits(a[n], b[n]) for n in names)
+    return all(same_bits(a[n], b[n]) for n in select(a, Selector(ENCODER_PATTERNS)))
 
 
 @dataclass(frozen=True)
@@ -148,23 +129,13 @@ def _shared_phases(config: LabConfig) -> _SharedPhases:
     )
 
 
-class _Reversal(NamedTuple):
-    """What phase 3 computes for one plan; the rest of its report is shared."""
-
-    probe_err: float
-    task_b_err: float
-    encoder_bitwise_reverted: bool
-    losses: list[float]
-
-
 def _reverse(
-    plan: MergePlan,
-    config: LabConfig,
-    shared: _SharedPhases,
-    on_stage: StageHook | None,
-    checkpoint_dir: Path | None,
-) -> _Reversal:
-    """Phase 3 for one plan, starting from the fine-tuned snapshot."""
+    plan: MergePlan, config: LabConfig, shared: _SharedPhases, checkpoint_dir: Path | None
+) -> ExperimentReport:
+    """Run phase 3 for one plan from the fine-tuned snapshot and return the plan's report.
+
+    Each report gets its own copy of the shared loss curves.
+    """
     task_a = TaskSpec(TASK_A_DEPTH, config.seed)
     task_b = TaskSpec(TASK_B_ACTION, config.seed)
     model = ToyModel.from_checkpoint(shared.finetuned)
@@ -172,11 +143,10 @@ def _reverse(
     reversal_rng = stream_rng(task_b, STREAM_REVERSAL_TRAIN)
     reversal_losses: list[float] = []
     stage_length = plan.schedule.stage_length
-    for step, alpha in stage_boundaries(plan.schedule):
+    boundaries = stage_boundaries(plan.schedule)
+    for step, _ in boundaries:
         merged = apply_stage(shared.finetuned, shared.pretrained, plan, step)
         model.load_tensors(merged, select(merged, plan.selector))
-        if on_stage is not None:
-            on_stage(step, alpha, model.to_checkpoint())
         model, stage_losses = train(
             model, task_b, stage_length, LEARNING_RATE, encoder_freeze, rng=reversal_rng
         )
@@ -192,35 +162,26 @@ def _reverse(
         for label, ckpt in snapshots.items():
             save_checkpoint(ckpt, checkpoint_dir / f"{plan.variant_name}_{label}.safetensors")
 
-    return _Reversal(
-        probe_rev, task_b_err, _encoders_equal(final, shared.pretrained), reversal_losses
-    )
-
-
-def _report(
-    plan: MergePlan, config: LabConfig, shared: _SharedPhases, reversal: _Reversal
-) -> ExperimentReport:
-    """One plan's report; each report gets its own copy of the shared loss curves."""
     return ExperimentReport(
         variant_name=plan.variant_name,
         seed=config.seed,
         probe_err_pretrained=shared.probe_err_pretrained,
         probe_err_after_finetune=shared.probe_err_after_finetune,
-        probe_err_after_reversal=reversal.probe_err,
-        taskB_final_err=reversal.task_b_err,
-        encoder_bitwise_reverted=reversal.encoder_bitwise_reverted,
-        stage_alphas=list(stage_boundaries(plan.schedule)),
+        probe_err_after_reversal=probe_rev,
+        taskB_final_err=task_b_err,
+        encoder_bitwise_reverted=_encoders_equal(final, shared.pretrained),
+        stage_alphas=boundaries,
         loss_curves={
             "pretrain": list(shared.pretrain_losses),
             "finetune": list(shared.finetune_losses),
-            "reversal": reversal.losses,
+            "reversal": reversal_losses,
         },
         config=config.to_dict(),
     )
 
 
 def _run_in_worker(
-    reverse: Callable[[MergePlan], _Reversal], plans: list[MergePlan], write_fd: int
+    reverse: Callable[[MergePlan], ExperimentReport], plans: list[MergePlan], write_fd: int
 ) -> NoReturn:
     """In a forked worker: pickle ``(True, results)`` or ``(False, exception)`` to the pipe, then exit.
 
@@ -241,8 +202,8 @@ def _run_in_worker(
 
 
 def _reverse_on_cores(
-    reverse: Callable[[MergePlan], _Reversal], plans: list[MergePlan]
-) -> list[_Reversal]:
+    reverse: Callable[[MergePlan], ExperimentReport], plans: list[MergePlan]
+) -> list[ExperimentReport]:
     """``[reverse(plan) for plan in plans]``, split into contiguous slices, one per usable core.
 
     Forked workers run every slice but the first, which the calling process
@@ -299,36 +260,25 @@ def _reverse_on_cores(
 def run_reversal_experiment(
     plans: Sequence[MergePlan],
     config: LabConfig = LabConfig(),
-    on_stage: StageHook | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> list[ExperimentReport]:
     """Pretrain and fine-tune once, then run each plan's staged reversal.
 
     Returns one report per plan, in order; every plan reverts from the same
     (fine-tuned, pretrained) pair, so each report equals that of a run with
-    the plan alone. ``on_stage`` is called after each boundary merge with
-    (step, alpha, full checkpoint). With ``checkpoint_dir`` set, each plan's
-    pretrained, fine-tuned, and final checkpoints are written there.
+    the plan alone. With ``checkpoint_dir`` set, each plan's pretrained,
+    fine-tuned, and final checkpoints are written there.
 
     The reversals run in forked workers, one per usable core, unless there
-    is one plan, one usable core, or an ``on_stage`` hook, which must run in
-    the calling process. Reports and checkpoints are the same either way.
+    is one plan or one usable core. Reports and checkpoints are the same
+    either way.
     """
     shared = _shared_phases(config)
     out = None
     if checkpoint_dir is not None:
         out = Path(checkpoint_dir)
         out.mkdir(parents=True, exist_ok=True)
-
-    def reverse(plan: MergePlan) -> _Reversal:
-        return _reverse(plan, config, shared, on_stage, out)
-
-    plans = list(plans)
-    if on_stage is None:
-        reversals = _reverse_on_cores(reverse, plans)
-    else:
-        reversals = [reverse(plan) for plan in plans]
-    return [_report(plan, config, shared, rev) for plan, rev in zip(plans, reversals)]
+    return _reverse_on_cores(lambda plan: _reverse(plan, config, shared, out), list(plans))
 
 
 def render_comparison(reports: list[ExperimentReport]) -> str:

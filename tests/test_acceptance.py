@@ -36,8 +36,8 @@ from revla.tensor_store import (
     load_checkpoint,
     serialize_checkpoint,
 )
-from revla.toy_lab import LabConfig, grad, run_reversal_experiment
-from revla.toy_lab.model import D_IN, HEAD_A, HEAD_B, PARAM_SHAPES
+from revla.toy_lab.experiment import LabConfig, run_reversal_experiment
+from revla.toy_lab.model import D_IN, HEAD_A, HEAD_B, PARAM_SHAPES, grad
 
 from test_tensor_store import build_file_bytes
 
@@ -178,7 +178,7 @@ def test_criterion_6_table_reproduction():
         table = aggregate(ood)
         assert abs(table.rate("RT1-X", "pear", "single") - 0.222) <= 5e-4
         assert abs(table.total_rate("OpenVLA") - 0.162) <= 5e-4
-        grasp, lift = partial_success_summary(ood)["ReVLA (Gradual)"]
+        grasp, lift = partial_success_summary(table)["ReVLA (Gradual)"]
         assert abs(grasp - 0.579) <= 5e-4
         assert abs(lift - 0.278) <= 5e-4
 

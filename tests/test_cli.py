@@ -19,7 +19,7 @@ import revla.toy_lab.experiment as experiment
 from revla.cli import main
 from revla.ood_eval import expand_cell, write_episode_log
 from revla.tensor_store import Checkpoint, load_checkpoint, save_checkpoint, serialize_checkpoint
-from revla.toy_lab import TrainingDiverged
+from revla.toy_lab.training import TrainingDiverged
 
 OPENVLA_CELLS = {
     ("pear", "single"): 7,

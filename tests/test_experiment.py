@@ -10,8 +10,9 @@ import pytest
 import revla.toy_lab.experiment as experiment
 from revla.merge import MergeSpec, linear_merge
 from revla.schedule import plan_for_variant
-from revla.tensor_store import load_checkpoint, select
-from revla.toy_lab import LabConfig, TrainingDiverged, run_reversal_experiment
+from revla.tensor_store import load_checkpoint, same_bits, select
+from revla.toy_lab.experiment import LabConfig, run_reversal_experiment
+from revla.toy_lab.training import TrainingDiverged
 
 # deliberately small so each case runs in well under a second; the
 # full-scale configuration is exercised by the acceptance suite
@@ -37,27 +38,33 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+def _run_recording_stages(plan, checkpoint_dir):
+    """A one-plan run, which stays in process, and the model each reversal stage trains from."""
+    states = []
+    with pytest.MonkeyPatch.context() as patch:
+        _hook_reversal_training(patch, in_caller=lambda model: states.append(model.to_checkpoint()))
+        report = run_reversal_experiment([plan], FAST, checkpoint_dir=checkpoint_dir)[0]
+    return report, [(step, alpha, state)
+                    for (step, alpha), state in zip(report.stage_alphas, states, strict=True)]
+
+
 @pytest.fixture(scope="module")
 def gradual_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpts")
-    stages = []
     plan = plan_for_variant("DS_gradual", 300, 100)
-    report = run_reversal_experiment(
-        [plan], FAST,
-        on_stage=lambda step, alpha, ckpt: stages.append((step, alpha, ckpt)),
-        checkpoint_dir=out,
-    )[0]
+    report, stages = _run_recording_stages(plan, out)
     return plan, report, stages, out
 
 
-def test_flip_restores_encoder_from_step_zero():
-    stages = []
+def test_flip_restores_encoder_from_step_zero(tmp_path):
     plan = plan_for_variant("DS_flip", 300)
-    report = run_reversal_experiment(
-        [plan], FAST, on_stage=lambda step, alpha, ckpt: stages.append((step, alpha, ckpt))
-    )[0]
+    report, stages = _run_recording_stages(plan, tmp_path)
     assert report.encoder_bitwise_reverted
-    assert stages[0][:2] == (0, 1.0)
+    assert [stage[:2] for stage in stages] == [(0, 1.0)]
+    pretrained = load_checkpoint(tmp_path / "DS_flip_pretrained.safetensors")
+    encoder = select(pretrained, plan.selector)
+    assert encoder
+    assert all(same_bits(stages[0][2][name], pretrained[name]) for name in encoder)
     assert report.probe_err_after_reversal == report.probe_err_pretrained
 
 
@@ -178,21 +185,21 @@ def test_report_json_shape(gradual_run):
 
 
 def _hook_reversal_training(monkeypatch, in_caller=None, in_worker=None):
-    """Call ``in_caller`` or ``in_worker``, by process, before each phase-3 ``train``."""
+    """Call ``in_caller`` or ``in_worker``, by process, with the model before each phase-3 ``train``."""
     caller, real_train = os.getpid(), experiment.train
 
     def train(*args, **kwargs):
         if kwargs.get("freeze", args[4] if len(args) > 4 else None) is not None:
             hook = in_caller if os.getpid() == caller else in_worker
             if hook is not None:
-                hook()
+                hook(args[0])
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "train", train)
 
 
 def test_a_failure_in_a_worker_is_raised_in_the_caller_unchanged(monkeypatch, two_cores):
-    def diverge():
+    def diverge(_model):
         raise TrainingDiverged(17, float("inf"))
 
     _hook_reversal_training(monkeypatch, in_worker=diverge)
@@ -208,11 +215,11 @@ def test_a_failure_in_the_callers_slice_kills_and_reaps_the_worker(monkeypatch, 
     read_fd, write_fd = os.pipe()
     worker = []
 
-    def hang():
+    def hang(_model):
         os.write(write_fd, f"{os.getpid()}\n".encode())
         time.sleep(60)
 
-    def fail_once_the_worker_hangs():
+    def fail_once_the_worker_hangs(_model):
         worker.append(int(os.read(read_fd, 64)))
         raise ValueError("caller's slice failed")
 
@@ -230,16 +237,9 @@ def test_a_failure_in_the_callers_slice_kills_and_reaps_the_worker(monkeypatch, 
         os.kill(worker[0], 0)
 
 
-def test_on_stage_hooks_run_in_the_calling_process(two_cores):
-    pids = set()
-    plans = [plan_for_variant("D_flip", 300), plan_for_variant("DS_flip", 300)]
-    reports = run_reversal_experiment(plans, FAST, on_stage=lambda *_: pids.add(os.getpid()))
-    assert pids == {os.getpid()}
-    assert [r.variant_name for r in reports] == ["D_flip", "DS_flip"]
-
-
-def test_forked_and_sequential_runs_give_the_same_reports(two_cores):
+def test_forked_and_sequential_runs_give_the_same_reports(monkeypatch, two_cores):
     plans = [plan_for_variant(*VARIANT_PLANS[v]) for v in sorted(VARIANT_PLANS)]
     forked = run_reversal_experiment(plans, FAST)
-    sequential = run_reversal_experiment(plans, FAST, on_stage=lambda *_: None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    sequential = run_reversal_experiment(plans, FAST)
     assert [r.to_json() for r in forked] == [r.to_json() for r in sequential]

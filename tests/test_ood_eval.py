@@ -25,6 +25,7 @@ from revla.ood_eval import (
     DuplicateEpisodeError,
     EpisodeRecord,
     EvalLogError,
+    SuccessTable,
     UnknownScenarioError,
     aggregate,
     expand_cell,
@@ -153,22 +154,22 @@ def test_partial_success_matches_published_grasp_and_lift():
     records = ood_records(
         "ReVLA (Gradual)", REVLA_GRADUAL_LIFTS, grasps=REVLA_GRADUAL_GRASPS
     )
-    summary = partial_success_summary(records)
+    summary = partial_success_summary(aggregate(records))
     assert summary["ReVLA (Gradual)"] == (0.579, 0.278)
 
 
 def test_partial_success_all_successful():
     records = expand_cell("perfect", "pear", "single", episodes=36, lift_successes=36)
-    assert partial_success_summary(records)["perfect"] == (1.0, 1.0)
+    assert partial_success_summary(aggregate(records))["perfect"] == (1.0, 1.0)
 
 
 def test_grasp_rate_never_below_lift_rate():
     records = ood_records(
         "ReVLA (Gradual)", REVLA_GRADUAL_LIFTS, grasps=REVLA_GRADUAL_GRASPS
     ) + ood_records("OpenVLA", OPENVLA_LIFTS)
-    for grasp, lift in partial_success_summary(records).values():
-        assert grasp >= lift
     table = aggregate(records)
+    for grasp, lift in partial_success_summary(table).values():
+        assert grasp >= lift
     for policy in table.policies():
         counts = table.counts(policy)
         assert counts.rate("grasp") >= counts.rate("lift")
@@ -315,7 +316,7 @@ def test_empty_aggregate_rejected():
     with pytest.raises(EvalLogError, match="no records"):
         aggregate([])
     with pytest.raises(EvalLogError, match="no records"):
-        partial_success_summary([])
+        partial_success_summary(SuccessTable("lift", {}))
 
 
 def test_log_round_trip(tmp_path):
@@ -539,7 +540,7 @@ def test_renderers_produce_aligned_tables():
     assert "0.162" in ood_text and "OpenVLA" in ood_text
     in_domain_text = render_in_domain_table(table)
     assert "0.177" in in_domain_text and "visual_matching" in in_domain_text
-    partial = render_partial_success(partial_success_summary(records))
+    partial = render_partial_success(partial_success_summary(table))
     assert "grasp" in partial and "lift" in partial
 
 

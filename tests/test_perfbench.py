@@ -1,5 +1,5 @@
 """The benchmark's tracer wraps program attributes by name; they must exist
-and keep splitting checkpoint and eval runs into their layers."""
+and keep splitting checkpoint, lab and eval runs into their layers."""
 
 from __future__ import annotations
 
@@ -18,6 +18,13 @@ EVAL_SPANS = (
     "ood_eval.render_in_domain_table",
     "ood_eval.render_partial_success",
     "ood_eval.SuccessTable.to_dict",
+)
+LAB_SPANS = (
+    "toy_lab.train",
+    "toy_lab.train_frozen",
+    "toy_lab.probe_linear",
+    "schedule.plan_for_variant",
+    "toy_lab.render_comparison",
 )
 
 
@@ -75,3 +82,22 @@ def test_traced_checkpoint_ops_record_every_layer(monkeypatch, tmp_path):
     }
     oracles.check_merge(merged, pair)
     oracles.check_inspect(report, pair)
+
+
+def test_traced_lab_records_every_layer(monkeypatch, tmp_path):
+    tracing = _tracing(monkeypatch)
+    run = importlib.import_module("run")
+    oracles = importlib.import_module("oracles")
+    out = tmp_path / "lab"
+    tracer = tracing.Tracer()
+    argv = ["lab", "--variant", "all", "--seed", "7", *run._SMALL_LAB_FLAGS, "--out", str(out)]
+    code, _ = tracing.run_cli_inprocess(argv, tmp_path / "stdout.txt", tracer)
+    assert code == 0
+    names = {span.name for span in tracer.spans}
+    assert [name for name in LAB_SPANS if name not in names] == []
+    # the shared and reversal phases are split at the first in-process apply_stage
+    runs = [i for i, span in enumerate(tracer.spans) if span.name == "toy_lab.run_reversal_experiment"]
+    assert len(runs) == 1
+    assert any(span.name == "schedule.apply_stage" and span.parent == runs[0]
+               for span in tracer.spans)
+    oracles.check_lab(out)

@@ -645,35 +645,41 @@ def test_selector_monotonicity(names, patterns, extra):
 def test_compat_identical_is_empty():
     a = Checkpoint({"x": np.zeros(3), "y": np.ones((2, 2), dtype=np.float32)})
     b = Checkpoint({"x": np.ones(3), "y": np.zeros((2, 2), dtype=np.float32)})
-    report = validate_compat(a, b)
-    assert report.is_empty
-    assert not report
+    assert validate_compat(a, b) == []
 
 
 def test_compat_missing_name():
     a = Checkpoint({"head.weight": np.zeros(2), "head.bias": np.zeros(2)})
     b = Checkpoint({"head.weight": np.zeros(2)})
-    report = validate_compat(a, b)
-    assert report.missing_in_b == ("head.bias",)
-    assert report.missing_in_a == ()
-    assert "head.bias" in report.describe()
+    assert validate_compat(a, b) == ["missing in second checkpoint: head.bias"]
+    assert validate_compat(b, a) == ["missing in first checkpoint: head.bias"]
 
 
 def test_compat_shape_mismatch():
     a = Checkpoint({"w": np.zeros(3)})
     b = Checkpoint({"w": np.zeros(4)})
-    report = validate_compat(a, b)
-    assert report.shape_mismatches == (("w", (3,), (4,)),)
+    assert validate_compat(a, b) == ["shape mismatch for w: [3] vs [4]"]
 
 
 def test_compat_dtype_mismatch():
     a = Checkpoint({"w": np.zeros(3, dtype=np.float32)})
     b = Checkpoint({"w": np.zeros(3, dtype=np.float64)})
-    report = validate_compat(a, b)
-    assert report.dtype_mismatches == (("w", "F32", "F64"),)
+    assert validate_compat(a, b) == ["dtype mismatch for w: F32 vs F64"]
+
+
+def test_compat_lines_are_grouped_by_kind_then_name():
+    a = Checkpoint({"a": np.zeros(3), "b": np.zeros(2, dtype=np.float32), "z": np.zeros(1)})
+    b = Checkpoint({"a": np.zeros(4), "b": np.zeros(2), "c": np.zeros(1), "y": np.zeros(5)})
+    assert validate_compat(a, b) == [
+        "missing in first checkpoint: c",
+        "missing in first checkpoint: y",
+        "missing in second checkpoint: z",
+        "shape mismatch for a: [3] vs [4]",
+        "dtype mismatch for b: F32 vs F64",
+    ]
 
 
 @settings(max_examples=25, deadline=None)
 @given(checkpoints())
 def test_compat_with_self_is_always_empty(ckpt):
-    assert validate_compat(ckpt, ckpt).is_empty
+    assert validate_compat(ckpt, ckpt) == []

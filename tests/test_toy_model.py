@@ -8,20 +8,18 @@ import numpy as np
 import pytest
 
 from revla.tensor_store import Selector
-from revla.toy_lab import (
+from revla.toy_lab.model import (
     D_FEATURE,
     D_HIDDEN,
     D_IN,
     HEAD_A,
     HEAD_B,
     PARAM_SHAPES,
-    TASK_B_ACTION,
-    TaskSpec,
     ToyModel,
     forward,
     grad,
-    targets,
 )
+from revla.toy_lab.tasks import TASK_B_ACTION, TaskSpec, targets
 
 
 def zero_model() -> ToyModel:

@@ -8,31 +8,34 @@ import numpy as np
 import pytest
 
 from revla.tensor_store import Selector, select
-from revla.toy_lab import (
+from revla.toy_lab.model import (
+    ENCODER_NAMES,
     PARAM_SHAPES,
-    TASK_A_DEPTH,
-    TASK_B_ACTION,
-    TaskSpec,
     ToyModel,
-    TrainingDiverged,
-    fit_ridge_readout,
+    _predict_and_grad,
     forward,
     grad,
-    make_dataset,
-    probe_linear,
-    readout_mse,
-    train,
 )
-from revla.toy_lab.model import ENCODER_NAMES, _predict_and_grad
 from revla.toy_lab.tasks import (
     STREAM_EVAL,
     STREAM_TRAIN,
+    TASK_A_DEPTH,
+    TASK_B_ACTION,
+    TaskSpec,
     input_mask,
+    make_dataset,
     sample_inputs,
     stream_rng,
     targets,
 )
-from revla.toy_lab.training import BATCH_SIZE
+from revla.toy_lab.training import (
+    BATCH_SIZE,
+    TrainingDiverged,
+    fit_ridge_readout,
+    probe_linear,
+    readout_mse,
+    train,
+)
 
 
 def params_bytes(model: ToyModel) -> dict[str, bytes]:
