@@ -331,6 +331,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory: {args.command} needs more memory than this process may use",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,11 @@ log schema below can be scored here.
 
 from __future__ import annotations
 
+import gc
+import io
 import json
+import os
+import stat
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -312,47 +316,6 @@ def partial_success_summary(table: SuccessTable) -> dict[str, tuple[float, float
     return {policy: (c.rate(METRIC_GRASP), c.rate(METRIC_LIFT)) for policy, c in totals.items()}
 
 
-def expand_cell(
-    policy: str,
-    target_object: str,
-    setting: str,
-    *,
-    episodes: int,
-    lift_successes: int,
-    grasp_successes: int | None = None,
-    protocol: str = PROTOCOL_VISUAL_MATCHING,
-    sub_setting: str | None = None,
-    first_episode: int = 0,
-) -> list[EpisodeRecord]:
-    """Synthesize per-episode records realizing the given success counts.
-
-    The first ``lift_successes`` episodes grasp and lift, the next
-    ``grasp_successes - lift_successes`` grasp only, the rest fail.
-    """
-    if grasp_successes is None:
-        grasp_successes = lift_successes
-    if not 0 <= lift_successes <= grasp_successes <= episodes:
-        raise ValueError(
-            f"need 0 <= lift ({lift_successes}) <= grasp ({grasp_successes}) "
-            f"<= episodes ({episodes})"
-        )
-    records = []
-    for i in range(episodes):
-        records.append(
-            EpisodeRecord(
-                policy=policy,
-                target_object=target_object,
-                setting=setting,
-                protocol=protocol,
-                episode=first_episode + i,
-                grasp_success=i < grasp_successes,
-                lift_success=i < lift_successes,
-                sub_setting=sub_setting,
-            )
-        )
-    return records
-
-
 def _record_from_json_obj(obj: dict) -> EpisodeRecord:
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
@@ -390,64 +353,179 @@ _log_values = itemgetter(*LOG_FIELDS)
 _SETTING_CONSTANTS = {setting: setting for setting in SETTINGS}
 _PROTOCOL_CONSTANTS = {protocol: protocol for protocol in PROTOCOLS}
 
+# A regular file is cut into ranges of at least this many bytes. Measured on a
+# 2-vCPU x86-64 host, parsing costs about 22 ns per byte of log. A worker adds about
+# 2.4 ms to fork and reap, and about 7 ns per byte to send its records back and share
+# their strings, so it saves time on a range from about 160 KB, and about 13 ms on
+# a range of this size.
+_MIN_RANGE_BYTES = 1 << 20
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start:stop`` of an open file, read with ``os.pread`` so that no file offset is shared."""
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._stop - self._pos), self._pos)
+        buffer[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _text_lines(binary: io.BufferedIOBase) -> io.TextIOWrapper:
+    """``binary`` read as text mode reads a file.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Bytes that are not UTF-8
+    come through as surrogate escapes, and only they do.
+    """
+    return io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape")
+
+
+def _line_start(fd: int, pos: int) -> int:
+    """The first offset at or after ``pos`` (at least 1) that follows a ``\\n``, or the end of the file."""
+    offset = pos - 1
+    while chunk := os.pread(fd, 1 << 16, offset):
+        newline = chunk.find(b"\n")
+        if newline >= 0:
+            return offset + newline + 1
+        offset += len(chunk)
+    return offset
+
+
+def _line_ranges(fd: int, size: int) -> list[tuple[int, int]]:
+    """Byte ranges of the first ``size`` bytes of a file, one per usable core, each starting at a line.
+
+    No range is shorter than ``_MIN_RANGE_BYTES``, unless the file is.
+    """
+    from .cores import usable_cores
+
+    parts = max(1, min(usable_cores(), size // _MIN_RANGE_BYTES))
+    starts = [0]
+    for i in range(1, parts):
+        cut = _line_start(fd, max(size * i // parts, starts[-1] + _MIN_RANGE_BYTES))
+        if size - cut < _MIN_RANGE_BYTES:
+            break
+        starts.append(cut)
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def _parse_lines(
+    lines: Iterable[str], shared: dict[str | None, str | None]
+) -> tuple[list[tuple], list[tuple[int, str]], int]:
+    """The records of ``lines`` as plain tuples, each bad line's number (from 1) and reason,
+    and the line count. Plain tuples pickle several times faster than records.
+
+    A line holding exactly one valid record is decoded by the C scanner
+    behind ``json.loads`` and checked in place. Any other non-blank line
+    goes through ``json.loads`` and ``_record_from_json_obj``, which accept
+    the same records and word every message. A record's strings are taken
+    from ``shared``, which holds the settings and protocols and gains each
+    new policy, object and sub-setting.
+    """
+    rows: list[tuple] = []
+    problems: list[tuple[int, str]] = []
+    scan_once = json.decoder.JSONDecoder().scan_once
+    share = shared.setdefault
+    lineno = 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            try:  # undo the escapes, so that decoding names the first bad byte
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                problems.append((lineno, str(exc)))
+                continue
+        try:
+            obj, end = scan_once(line, 0)
+            if type(obj) is dict and len(obj) == len(LOG_FIELDS):
+                policy, target, setting, protocol, episode, grasp, lift, sub = _log_values(obj)
+            else:
+                policy = None
+        except (StopIteration, ValueError, KeyError, RecursionError):
+            policy = None
+        if (
+            type(policy) is str and policy
+            and not line[end:].strip(_JSON_WHITESPACE)
+            and type(target) is str
+            and type(setting) is str and (setting := _SETTING_CONSTANTS.get(setting))
+            and type(protocol) is str and (protocol := _PROTOCOL_CONSTANTS.get(protocol))
+            and type(episode) is int and episode >= 0
+            and type(grasp) is bool
+            and type(lift) is bool and (grasp or not lift)
+            and (sub is None or type(sub) is str)
+        ):
+            rows.append((
+                share(policy, policy), share(target, target), setting, protocol,
+                episode, grasp, lift, share(sub, sub),
+            ))
+            continue
+        if not line.strip():
+            continue
+        try:
+            record = _record_from_json_obj(json.loads(line))
+        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+            problems.append((lineno, str(exc)))
+        else:
+            rows.append(tuple(share(value, value) if type(value) is str else value for value in record))
+    return rows, problems, lineno
+
 
 def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     """Read a newline-delimited JSON episode log, naming every bad line.
 
-    A line holding exactly one valid record is decoded by the C scanner
-    behind ``json.loads`` and checked in place. Its policy, object and
-    sub-setting strings are shared with earlier records of the same call,
-    and its setting and protocol are the module's constants. Any other
-    non-blank line goes through ``json.loads`` and
-    ``_record_from_json_obj``, which accept the same records and word
-    every message. A line that is not UTF-8, or is nested deeper than the
+    A regular file is cut into byte ranges at line starts, one per usable
+    core, which ``revla.cores.map_on_cores`` parses with ``_parse_lines``;
+    any other file (a pipe, say) has no size to cut by and is read in one
+    pass. The records of all ranges share their policy, object and
+    sub-setting strings, and their setting and protocol are the module's
+    constants. A line that is not UTF-8, or is nested deeper than the
     recursion limit, is a bad line like any other.
     """
-    records: list[EpisodeRecord] = []
-    problems: list[str] = []
-    scan_once = json.decoder.JSONDecoder().scan_once
-    shared: dict[str | None, str | None] = {}
+    shared: dict[str | None, str | None] = {**_SETTING_CONSTANTS, **_PROTOCOL_CONSTANTS}
     share = shared.setdefault
-    new_record = tuple.__new__
-    # Bytes that are not UTF-8 come through as surrogate escapes, and only they do.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:  # undo the escapes, so that decoding names the first bad byte
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    problems.append(f"line {lineno}: {exc}")
-                    continue
-            try:
-                obj, end = scan_once(line, 0)
-                if type(obj) is dict and len(obj) == len(LOG_FIELDS):
-                    policy, target, setting, protocol, episode, grasp, lift, sub = _log_values(obj)
-                else:
-                    policy = None
-            except (StopIteration, ValueError, KeyError, RecursionError):
-                policy = None
-            if (
-                type(policy) is str and policy
-                and not line[end:].strip(_JSON_WHITESPACE)
-                and type(target) is str
-                and type(setting) is str and (setting := _SETTING_CONSTANTS.get(setting))
-                and type(protocol) is str and (protocol := _PROTOCOL_CONSTANTS.get(protocol))
-                and type(episode) is int and episode >= 0
-                and type(grasp) is bool
-                and type(lift) is bool and (grasp or not lift)
-                and (sub is None or type(sub) is str)
-            ):
-                records.append(new_record(EpisodeRecord, (
-                    share(policy, policy), share(target, target), setting, protocol,
-                    episode, grasp, lift, share(sub, sub),
-                )))
-                continue
-            if not line.strip():
-                continue
-            try:
-                records.append(_record_from_json_obj(json.loads(line)))
-            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-                problems.append(f"line {lineno}: {exc}")
+    collecting = gc.isenabled()
+    gc.disable()  # records hold no cycles; collections over the growing lists only cost time
+    try:
+        with open(path, "rb") as raw:
+            fd = raw.fileno()
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
+                from .cores import map_on_cores
+
+                parts = map_on_cores(
+                    lambda r: _parse_lines(_text_lines(io.BufferedReader(_ByteRange(fd, *r))), shared),
+                    _line_ranges(fd, info.st_size),
+                )
+            else:
+                with _text_lines(raw) as lines:
+                    parts = [_parse_lines(lines, shared)]
+        records: list[EpisodeRecord] = []
+        problems: list[str] = []
+        lines_before = 0
+        new_record = tuple.__new__
+        for index, (rows, bad, line_count) in enumerate(parts):
+            problems += [f"line {lines_before + n}: {reason}" for n, reason in bad]
+            lines_before += line_count
+            # Each row is replaced in place, so a range's rows and records never coexist.
+            # map_on_cores parses the first range in this process, so its strings are
+            # shared already; the other ranges came through a pipe as new copies.
+            if index == 0:
+                for i, row in enumerate(rows):
+                    rows[i] = new_record(EpisodeRecord, row)
+            else:
+                for i, (policy, target, setting, protocol, episode, grasp, lift, sub) in enumerate(rows):
+                    rows[i] = new_record(EpisodeRecord, (
+                        share(policy, policy), share(target, target), share(setting, setting),
+                        share(protocol, protocol), episode, grasp, lift, share(sub, sub),
+                    ))
+            records += rows
+    finally:
+        if collecting:
+            gc.enable()
     if problems:
         raise EvalLogError(f"invalid episode log {path}:\n" + "\n".join(problems))
     return records

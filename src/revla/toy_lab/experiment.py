@@ -10,22 +10,22 @@ stage merges the original (fine-tuned, pretrained) pair, so the trajectory
 equals direct interpolation evaluated at every boundary alpha. Task-A probe
 error is measured after each phase.
 
-The plans' phase-3 runs share no state, so they are split across the usable
-cores: forked workers run all but the first slice of plans and send back
-their reports, while the calling process runs the first slice itself.
+The plans' phase-3 runs share no state, so ``revla.cores.map_on_cores``
+splits them across the usable cores: forked workers run all but the first
+slice of plans and send back their reports, while the calling process runs
+the first slice itself.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..cores import map_on_cores
 from ..ood_eval import format_table
 from ..schedule import MergePlan, apply_stage, stage_boundaries
 from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint, select
@@ -180,83 +180,6 @@ def _reverse(
     )
 
 
-def _run_in_worker(
-    reverse: Callable[[MergePlan], ExperimentReport], plans: list[MergePlan], write_fd: int
-) -> NoReturn:
-    """In a forked worker: pickle ``(True, results)`` or ``(False, exception)`` to the pipe, then exit.
-
-    ``os._exit`` skips the caller's cleanup (atexit hooks, buffered stdio,
-    pending ``finally`` blocks) that the worker inherited at the fork.
-    """
-    status = 1
-    try:
-        try:
-            outcome = (True, [reverse(plan) for plan in plans])
-        except BaseException as exc:
-            outcome = (False, exc)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reverse_on_cores(
-    reverse: Callable[[MergePlan], ExperimentReport], plans: list[MergePlan]
-) -> list[ExperimentReport]:
-    """``[reverse(plan) for plan in plans]``, split into contiguous slices, one per usable core.
-
-    Forked workers run every slice but the first, which the calling process
-    runs itself. A worker's exception is re-raised here as it was raised
-    there. If the caller's slice fails, the workers are killed. Every worker
-    is reaped before this returns or raises.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(len(plans), cores)
-    if k < 2:
-        return [reverse(plan) for plan in plans]
-    cuts = [len(plans) * i // k for i in range(k + 1)]
-    slices = [plans[start:stop] for start, stop in zip(cuts, cuts[1:])]
-    # numpy's OpenBLAS shuts its thread pool down before a fork (a pthread_atfork
-    # handler) and restarts it on use, so forking after numpy has run is safe
-    workers: dict[int, BinaryIO] = {}  # pid -> read end of the pipe it writes its outcome to
-    try:
-        for part in slices[1:]:
-            read_fd, write_fd = os.pipe()
-            pipe = open(read_fd, "rb")
-            try:
-                pid = os.fork()
-            except BaseException:
-                pipe.close()
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _run_in_worker(reverse, part, write_fd)
-            os.close(write_fd)
-            workers[pid] = pipe
-        results = [reverse(plan) for plan in slices[0]]
-        for pid, pipe in list(workers.items()):
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del workers[pid]
-            if not payload:
-                raise RuntimeError(f"lab worker {pid} sent no result (wait status {status})")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results.extend(value)
-        return results
-    finally:
-        if workers:
-            import signal  # only a failed call needs it; importing it costs the lab child 40 KB
-
-            for pid, pipe in workers.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def run_reversal_experiment(
     plans: Sequence[MergePlan],
     config: LabConfig = LabConfig(),
@@ -278,7 +201,7 @@ def run_reversal_experiment(
     if checkpoint_dir is not None:
         out = Path(checkpoint_dir)
         out.mkdir(parents=True, exist_ok=True)
-    return _reverse_on_cores(lambda plan: _reverse(plan, config, shared, out), list(plans))
+    return map_on_cores(lambda plan: _reverse(plan, config, shared, out), list(plans))
 
 
 def render_comparison(reports: list[ExperimentReport]) -> str:

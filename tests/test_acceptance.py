@@ -19,12 +19,12 @@ import pytest
 
 from test_merge import scalar_merge_oracle
 from test_toy_model import finite_difference_grads, random_model
+from synthetic_episodes import expand_cell
 
 import revla
 from revla.merge import MergeSpec, linear_merge
 from revla.ood_eval import (
     aggregate,
-    expand_cell,
     partial_success_summary,
     relative_improvement,
 )

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from synthetic_episodes import expand_cell
 
 import revla
+import revla.ood_eval as ood_eval
 import revla.toy_lab.experiment as experiment
 from revla.cli import main
-from revla.ood_eval import expand_cell, write_episode_log
+from revla.ood_eval import write_episode_log
 from revla.tensor_store import Checkpoint, load_checkpoint, save_checkpoint, serialize_checkpoint
 from revla.toy_lab.training import TrainingDiverged
 
@@ -503,6 +505,25 @@ def test_eval_names_undecodable_and_too_deep_lines(tmp_path, capsys):
     ]
 
 
+def test_eval_gives_the_same_bytes_from_one_range_or_several(tmp_path, monkeypatch, capsys):
+    records = []
+    for policy in ("OpenVLA", "ReVLA", "Octo"):
+        for (obj, setting), lifts in OPENVLA_CELLS.items():
+            records += expand_cell(policy, obj, setting, episodes=36, lift_successes=lifts)
+    log = tmp_path / "episodes.jsonl"
+    write_episode_log(records, log)
+    runs = []
+    for cores, minimum, ranges in (({0}, 1 << 20, 1), ({0, 1, 2}, 4096, 3)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", minimum)
+        with open(log, "rb") as fh:
+            assert len(ood_eval._line_ranges(fh.fileno(), log.stat().st_size)) == ranges
+        out = tmp_path / f"report_{ranges}.json"
+        assert main(["eval", str(log), "--baseline", "OpenVLA", "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+
+
 def test_eval_duplicates_with_and_without_sub_setting_fail_with_one_line(tmp_path, capsys):
     records = []
     for sub_setting in (None, None, "vertical", "vertical"):
@@ -552,6 +573,42 @@ def test_merge_may_overwrite_its_current_input(checkpoint_pair, tmp_path):
         save_checkpoint(original, target)
 
 
+_RUN_CLI_UNDER_AN_ADDRESS_SPACE_CAP = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))
+sys.path.insert(0, {root!r})
+sys.argv = ["revla", *{argv!r}]
+runpy.run_module("revla.cli", run_name="__main__")
+"""
+
+
+def _write_sparse_checkpoint(path, nbytes):
+    """A checkpoint of one F32 tensor of ``nbytes`` zero bytes, left as a hole in a sparse file."""
+    header = json.dumps({"w": {"dtype": "F32", "shape": [nbytes // 4], "data_offsets": [0, nbytes]}})
+    header = header.encode().ljust(-(-len(header) // 8) * 8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(header)) + header)
+        fh.truncate(8 + len(header) + nbytes)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("argv", [
+    ["inspect", "a.st", "--out", "inspect.json"],
+    ["merge", "a.st", "b.st", "--alpha", "0.5", "--out", "merged.st"],
+], ids=["inspect", "merge"])
+def test_running_out_of_memory_fails_with_one_line(tmp_path, argv):
+    # 1 GiB tensors under a 768 MiB address-space cap, set in the child only
+    for name in ("a.st", "b.st"):
+        _write_sparse_checkpoint(tmp_path / name, 1 << 30)
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    code = _RUN_CLI_UNDER_AN_ADDRESS_SPACE_CAP.format(cap=768 << 20, root=root, argv=argv)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 1
+    assert result.stderr == f"error: out of memory: {argv[0]} needs more memory than this process may use\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.st", "b.st"]  # no output, no .tmp
+
+
 _RUN_CLI_THEN_REPORT_NUMPY = """
 import runpy, sys
 sys.path.insert(0, {root!r})
@@ -577,6 +634,16 @@ def test_commands_that_use_no_numpy_never_load_it(tmp_path, argv):
                             text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_version_loads_neither_pickle_nor_the_fork_helper():
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {root!r}); sys.argv = ['revla', '--version']\n"
+            "import runpy\n"
+            "try:\n    runpy.run_module('revla.cli', run_name='__main__')\n"
+            "finally:\n    print(sorted({'pickle', 'revla.cores'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "[]", result.stderr
 
 
 def test_importing_the_cli_and_schedule_leaves_numpy_unloaded():

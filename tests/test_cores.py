@@ -1,0 +1,96 @@
+"""The fork helper that the lab and eval share: results, failures and reaping."""
+
+from __future__ import annotations
+
+import os
+import re
+import time
+
+import pytest
+
+from revla.cores import map_on_cores
+
+
+class Failed(Exception):
+    """A failure carrying attributes, which must survive the trip from a worker."""
+
+    def __init__(self, item, detail):
+        super().__init__(item, detail)
+        self.item, self.detail = item, detail
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, so a call with two items forks one worker on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_results_keep_item_order_and_the_caller_runs_the_first_slice(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    caller = os.getpid()
+    results = map_on_cores(lambda item: (item * item, os.getpid()), list(range(7)))
+    assert [square for square, _ in results] == [item * item for item in range(7)]
+    pids = [pid for _, pid in results]
+    assert pids[:2] == [caller, caller]  # slices of 2, 2 and 3 items
+    assert len(set(pids[2:4])) == 1 and len(set(pids[4:])) == 1
+    assert len({caller, pids[2], pids[4]}) == 3
+
+
+def test_one_usable_core_or_one_item_runs_in_the_caller(monkeypatch):
+    caller = os.getpid()
+    assert map_on_cores(lambda item: os.getpid(), [0]) == [caller]
+    assert map_on_cores(lambda item: os.getpid(), []) == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert map_on_cores(lambda item: os.getpid(), [0, 1, 2]) == [caller] * 3
+
+
+def test_a_failure_in_a_worker_is_raised_in_the_caller_unchanged(two_cores):
+    caller = os.getpid()
+
+    def fail_in_worker(item):
+        if os.getpid() != caller:
+            raise Failed(item, {"step": 17, "loss": float("inf")})
+        return item
+
+    with pytest.raises(Failed) as info:
+        map_on_cores(fail_in_worker, [0, 1])
+    assert type(info.value) is Failed
+    assert (info.value.item, info.value.detail) == (1, {"step": 17, "loss": float("inf")})
+    assert str(info.value) == "(1, {'step': 17, 'loss': inf})"
+
+
+def test_a_failure_in_the_callers_slice_kills_and_reaps_the_worker(two_cores):
+    caller = os.getpid()
+    read_fd, write_fd = os.pipe()
+    worker = []
+
+    def hang_in_worker_fail_in_caller(item):
+        if os.getpid() != caller:
+            os.write(write_fd, f"{os.getpid()}\n".encode())
+            time.sleep(60)
+        worker.append(int(os.read(read_fd, 64)))
+        raise ValueError("caller's slice failed")
+
+    start = time.monotonic()
+    try:
+        with pytest.raises(ValueError, match="caller's slice failed"):
+            map_on_cores(hang_in_worker_fail_in_caller, [0, 1])
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    assert time.monotonic() - start < 30  # the worker was killed, not waited for
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker[0], 0)
+
+
+def test_a_worker_that_exits_without_a_result_is_an_error(two_cores):
+    caller = os.getpid()
+
+    def exit_in_worker(item):
+        if os.getpid() != caller:
+            os._exit(3)
+        return item
+
+    with pytest.raises(RuntimeError) as info:
+        map_on_cores(exit_in_worker, [0, 1])
+    assert re.fullmatch(r"worker \d+ sent no result \(wait status 768\)", str(info.value))

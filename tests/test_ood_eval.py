@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synthetic_episodes import expand_cell
 
 import revla
+import revla.ood_eval as ood_eval
 from revla.ood_eval import (
     LOG_FIELDS,
     PROTOCOLS,
@@ -28,7 +33,6 @@ from revla.ood_eval import (
     SuccessTable,
     UnknownScenarioError,
     aggregate,
-    expand_cell,
     parse_episode_log,
     partial_success_summary,
     relative_improvement,
@@ -401,8 +405,13 @@ def _reference_record(obj):
 
 def _reference_parse(path):
     records, problems = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                problems.append(f"line {lineno}: {exc}")
+                continue
             if not line.strip():
                 continue
             try:
@@ -464,7 +473,7 @@ def _log_texts(draw):
     lines = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(
-            ["record"] * 4 + ["padded", "two_values", "spanning", "non_object", "blank"]))
+            ["record"] * 4 + ["padded", "two_values", "spanning", "non_object", "undecodable", "blank"]))
         if kind == "record":
             lines.append(draw(_record_texts()))
         elif kind == "padded":
@@ -479,6 +488,11 @@ def _log_texts(draw):
             lines.extend([text[:cut], text[cut:]])
         elif kind == "non_object":
             lines.append(draw(st.sampled_from(["[]", "1", '"x"', "null", "true", "[1, 2]", "{}"])))
+        elif kind == "undecodable":
+            # bytes that are not UTF-8 (a stray byte, a cut sequence), written by surrogateescape
+            text = draw(_record_texts())
+            cut = draw(st.integers(0, len(text)))
+            lines.append(text[:cut] + draw(st.sampled_from(["\udcff", "\udce2\udc82", "\udcc3"])) + text[cut:])
         else:
             lines.append(draw(st.sampled_from(["", "  ", "\t", "\x0c"])))
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
@@ -491,11 +505,13 @@ def _typed(records):
     return [[(type(value), value) for value in record] for record in records]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_log_texts())
-def test_parse_matches_per_line_parser(tmp_path_factory, text):
+def _write_log(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("log") / "episodes.jsonl"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+def _check_parse_matches_reference(path):
     try:
         expected = _typed(_reference_parse(path))
     except EvalLogError as exc:
@@ -506,6 +522,139 @@ def test_parse_matches_per_line_parser(tmp_path_factory, text):
         records = parse_episode_log(path)
         assert all(type(record) is EpisodeRecord for record in records)
         assert _typed(records) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_texts())
+def test_parse_matches_per_line_parser(tmp_path_factory, text):
+    _check_parse_matches_reference(_write_log(tmp_path_factory, text))
+
+
+def test_parse_in_several_ranges_matches_per_line_parser(tmp_path_factory):
+    # three usable cores and no minimum range size cut most logs into two or three ranges
+    range_counts = []
+    line_ranges = ood_eval._line_ranges
+
+    def counted_line_ranges(fd, size):
+        ranges = line_ranges(fd, size)
+        range_counts.append(len(ranges))
+        return ranges
+
+    @settings(max_examples=300, deadline=None)
+    @given(_log_texts())
+    def check(text):
+        _check_parse_matches_reference(_write_log(tmp_path_factory, text))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        patch.setattr(ood_eval, "_MIN_RANGE_BYTES", 1)
+        patch.setattr(ood_eval, "_line_ranges", counted_line_ranges)
+        check()
+    assert set(range_counts) <= {1, 2, 3}
+    assert sum(count > 1 for count in range_counts) >= len(range_counts) // 2
+
+
+@pytest.mark.parametrize("size,cores,minimum", [
+    (0, 2, 1 << 20), (5_000, 1, 1), (5_000, 2, 1), (5_000, 3, 1000), (5_000, 8, 1000), (5_000, 4, 3000),
+])
+def test_ranges_start_at_lines_and_are_never_below_the_minimum(tmp_path, monkeypatch, size, cores,
+                                                               minimum):
+    rng = random.Random(size + cores + minimum)
+    data = bytes(rng.choice(b"ab\r\n") for _ in range(size))
+    path = tmp_path / "log"
+    path.write_bytes(data)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", minimum)
+    with open(path, "rb") as fh:
+        ranges = ood_eval._line_ranges(fh.fileno(), size)
+    assert ranges[0][0] == 0 and ranges[-1][1] == size
+    assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+    assert all(data[start - 1] == ord("\n") for start, _ in ranges[1:])
+    assert len(ranges) <= max(1, min(cores, size // minimum))
+    if len(ranges) > 1:
+        assert min(stop - start for start, stop in ranges) >= minimum
+
+
+def test_a_pipe_parses_like_the_same_bytes_in_a_file(tmp_path, monkeypatch):
+    # a pipe has no size to cut by, so it is read in one pass however many cores there are
+    records = ood_records("OpenVLA", OPENVLA_LIFTS) + ood_records("ReVLA", OPENVLA_LIFTS)
+    good = [json.dumps(record.to_json_obj()).encode() for record in records]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", 1)
+    for data in (b"\n".join(good) + b"\n",
+                 b"\r\n".join(good[:100]) + b'\r{"policy": "\xff"}\r\n\n' + b"\r".join(good[100:])):
+        path, fifo = tmp_path / "episodes.jsonl", tmp_path / "episodes.fifo"
+        path.write_bytes(data)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            from_pipe = _parse_or_error(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert from_pipe == _parse_or_error(path)
+        assert from_pipe != ([], None)
+        fifo.unlink()
+
+
+def test_records_of_all_ranges_share_their_strings(tmp_path, monkeypatch):
+    # policies interleaved, so that every range holds every policy, object and sub-setting
+    cells = [expand_cell(policy, "coke_can", "single", episodes=60, lift_successes=20,
+                         protocol=protocol, sub_setting=sub)
+             for policy in ("OpenVLA", "ReVLA") for protocol in PROTOCOLS for sub in (None, "vertical")]
+    records = [record for group in zip(*cells) for record in group]
+    path = tmp_path / "episodes.jsonl"
+    write_episode_log(records, path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", path.stat().st_size // 4)
+    with open(path, "rb") as fh:
+        assert len(ood_eval._line_ranges(fh.fileno(), path.stat().st_size)) == 3
+    parsed = parse_episode_log(path)
+    assert parsed == records
+    objects = {}
+    for record in parsed:
+        for value in (record.policy, record.target_object, record.sub_setting):
+            objects.setdefault(value, set()).add(id(value))
+    assert {value: len(ids) for value, ids in objects.items()} == dict.fromkeys(objects, 1)
+    assert all(r.setting is SETTINGS[SETTINGS.index(r.setting)]
+               and r.protocol is PROTOCOLS[PROTOCOLS.index(r.protocol)] for r in parsed)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_parse_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, collecting):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_episode_log(ood_records("OpenVLA", OPENVLA_LIFTS), good)
+    bad.write_text("{truncated\n")
+    paused, parse_lines = [], ood_eval._parse_lines
+
+    def spy(lines, shared):
+        paused.append(not gc.isenabled())
+        return parse_lines(lines, shared)
+
+    monkeypatch.setattr(ood_eval, "_parse_lines", spy)
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert parse_episode_log(good)
+        assert gc.isenabled() is collecting
+        with pytest.raises(EvalLogError):
+            parse_episode_log(bad)
+        assert gc.isenabled() is collecting
+        with pytest.raises(FileNotFoundError):
+            parse_episode_log(tmp_path / "missing.jsonl")
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    assert paused == [True, True]
+
+
+def _parse_or_error(path):
+    """(records, None), or ([], the error's lines after the one naming the file)."""
+    try:
+        return parse_episode_log(path), None
+    except EvalLogError as exc:
+        return [], str(exc).split("\n")[1:]
 
 
 def test_parse_memory_per_episode_is_capped(tmp_path):

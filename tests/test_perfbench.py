@@ -6,7 +6,9 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-from revla.ood_eval import expand_cell, write_episode_log
+from synthetic_episodes import expand_cell
+
+from revla.ood_eval import write_episode_log
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
