@@ -3,8 +3,7 @@
 Every successful run writes a machine-readable artifact; every failure
 prints a diagnostic and exits nonzero. There is no ambient randomness: the
 lab takes an explicit --seed, so repeated runs produce bitwise-identical
-artifacts. Verbosity is controlled by the REVLA_LOG_LEVEL environment
-variable (error, warn, info, debug).
+artifacts.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -39,15 +36,6 @@ from .schedule import (
     stage_boundaries,
 )
 from .selector import Selector
-
-logger = logging.getLogger("revla")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
 
 DEFAULT_LAB_TOTAL_STEPS = 5000
 DEFAULT_LAB_STAGE_LENGTH = 500
@@ -81,11 +69,6 @@ serialize_checkpoint = _on_first_call(".tensor_store", "serialize_checkpoint")
 linear_merge = _on_first_call(".merge", "linear_merge")
 run_reversal_experiment = _on_first_call(".toy_lab.experiment", "run_reversal_experiment")
 render_comparison = _on_first_call(".toy_lab.experiment", "render_comparison")
-
-
-def _configure_logging() -> None:
-    level = os.environ.get("REVLA_LOG_LEVEL", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING), format="%(levelname)s %(message)s")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -167,7 +150,6 @@ def cmd_merge(args: argparse.Namespace) -> int:
     pretrained = load_checkpoint(args.pretrained)
     merged = linear_merge(current, pretrained, spec)
     save_checkpoint(merged, args.out)
-    logger.info("merged %d of %d tensors at alpha=%s", len(selected), len(merged), args.alpha)
     print(f"wrote {args.out}: {len(selected)} tensors merged at alpha={args.alpha}")
     return 0
 
@@ -209,7 +191,6 @@ def cmd_lab(args: argparse.Namespace) -> int:
     config = LabConfig(**settings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    logger.info("running variants %s", ", ".join(variants))
     reports = run_reversal_experiment(
         plans, config, checkpoint_dir=out_dir if args.save_checkpoints else None
     )
@@ -323,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -121,6 +121,17 @@ class EpisodeRecord(_EpisodeFields):
         lift_success: bool,
         sub_setting: str | None = None,
     ) -> "EpisodeRecord":
+        if not isinstance(policy, str):
+            raise ValueError("policy must be a string")
+        if not isinstance(target_object, str):
+            raise ValueError("object must be a string")
+        if not isinstance(episode, int) or isinstance(episode, bool):
+            raise ValueError("episode must be an integer")
+        for flag, value in (("grasp_success", grasp_success), ("lift_success", lift_success)):
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} must be a boolean")
+        if sub_setting is not None and not isinstance(sub_setting, str):
+            raise ValueError("sub_setting must be a string or null")
         if not policy:
             raise ValueError("policy must be a non-empty string")
         if setting not in SETTINGS:
@@ -325,27 +336,7 @@ def _record_from_json_obj(obj: dict) -> EpisodeRecord:
     extra = sorted(set(obj) - set(LOG_FIELDS))
     if extra:
         raise ValueError(f"unexpected fields: {extra}")
-    if not isinstance(obj["policy"], str):
-        raise ValueError("policy must be a string")
-    if not isinstance(obj["object"], str):
-        raise ValueError("object must be a string")
-    if not isinstance(obj["episode"], int) or isinstance(obj["episode"], bool):
-        raise ValueError("episode must be an integer")
-    for flag in ("grasp_success", "lift_success"):
-        if not isinstance(obj[flag], bool):
-            raise ValueError(f"{flag} must be a boolean")
-    if obj["sub_setting"] is not None and not isinstance(obj["sub_setting"], str):
-        raise ValueError("sub_setting must be a string or null")
-    return EpisodeRecord(
-        policy=obj["policy"],
-        target_object=obj["object"],
-        setting=obj["setting"],
-        protocol=obj["protocol"],
-        episode=obj["episode"],
-        grasp_success=obj["grasp_success"],
-        lift_success=obj["lift_success"],
-        sub_setting=obj["sub_setting"],
-    )
+    return EpisodeRecord(*_log_values(obj))
 
 
 _JSON_WHITESPACE = " \t\n\r"
@@ -355,9 +346,9 @@ _PROTOCOL_CONSTANTS = {protocol: protocol for protocol in PROTOCOLS}
 
 # A regular file is cut into ranges of at least this many bytes. Measured on a
 # 2-vCPU x86-64 host, parsing costs about 22 ns per byte of log. A worker adds about
-# 2.4 ms to fork and reap, and about 7 ns per byte to send its records back and share
-# their strings, so it saves time on a range from about 160 KB, and about 13 ms on
-# a range of this size.
+# 2.4 ms to fork and reap, and at most about 7 ns per byte to send its records back,
+# so it saves time on a range from about 160 KB, and about 13 ms on a range of this
+# size.
 _MIN_RANGE_BYTES = 1 << 20
 
 
@@ -414,23 +405,21 @@ def _line_ranges(fd: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [size]))
 
 
-def _parse_lines(
-    lines: Iterable[str], shared: dict[str | None, str | None]
-) -> tuple[list[tuple], list[tuple[int, str]], int]:
+def _parse_lines(lines: Iterable[str]) -> tuple[list[tuple], list[tuple[int, str]], int]:
     """The records of ``lines`` as plain tuples, each bad line's number (from 1) and reason,
     and the line count. Plain tuples pickle several times faster than records.
 
     A line holding exactly one valid record is decoded by the C scanner
     behind ``json.loads`` and checked in place. Any other non-blank line
     goes through ``json.loads`` and ``_record_from_json_obj``, which accept
-    the same records and word every message. A record's strings are taken
-    from ``shared``, which holds the settings and protocols and gains each
-    new policy, object and sub-setting.
+    the same records and word every message. The records share one object
+    per distinct string; their settings and protocols are the module's
+    constants.
     """
     rows: list[tuple] = []
     problems: list[tuple[int, str]] = []
     scan_once = json.decoder.JSONDecoder().scan_once
-    share = shared.setdefault
+    share = {**_SETTING_CONSTANTS, **_PROTOCOL_CONSTANTS}.setdefault
     lineno = 0
     for lineno, line in enumerate(lines, start=1):
         if not line.isascii():
@@ -480,13 +469,10 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     A regular file is cut into byte ranges at line starts, one per usable
     core, which ``revla.cores.map_on_cores`` parses with ``_parse_lines``;
     any other file (a pipe, say) has no size to cut by and is read in one
-    pass. The records of all ranges share their policy, object and
-    sub-setting strings, and their setting and protocol are the module's
-    constants. A line that is not UTF-8, or is nested deeper than the
-    recursion limit, is a bad line like any other.
+    pass. The records of one range share one object per distinct string.
+    A line that is not UTF-8, or is nested deeper than the recursion
+    limit, is a bad line like any other.
     """
-    shared: dict[str | None, str | None] = {**_SETTING_CONSTANTS, **_PROTOCOL_CONSTANTS}
-    share = shared.setdefault
     collecting = gc.isenabled()
     gc.disable()  # records hold no cycles; collections over the growing lists only cost time
     try:
@@ -497,31 +483,22 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
                 from .cores import map_on_cores
 
                 parts = map_on_cores(
-                    lambda r: _parse_lines(_text_lines(io.BufferedReader(_ByteRange(fd, *r))), shared),
+                    lambda r: _parse_lines(_text_lines(io.BufferedReader(_ByteRange(fd, *r)))),
                     _line_ranges(fd, info.st_size),
                 )
             else:
                 with _text_lines(raw) as lines:
-                    parts = [_parse_lines(lines, shared)]
+                    parts = [_parse_lines(lines)]
         records: list[EpisodeRecord] = []
         problems: list[str] = []
         lines_before = 0
         new_record = tuple.__new__
-        for index, (rows, bad, line_count) in enumerate(parts):
+        for rows, bad, line_count in parts:
             problems += [f"line {lines_before + n}: {reason}" for n, reason in bad]
             lines_before += line_count
-            # Each row is replaced in place, so a range's rows and records never coexist.
-            # map_on_cores parses the first range in this process, so its strings are
-            # shared already; the other ranges came through a pipe as new copies.
-            if index == 0:
-                for i, row in enumerate(rows):
-                    rows[i] = new_record(EpisodeRecord, row)
-            else:
-                for i, (policy, target, setting, protocol, episode, grasp, lift, sub) in enumerate(rows):
-                    rows[i] = new_record(EpisodeRecord, (
-                        share(policy, policy), share(target, target), share(setting, setting),
-                        share(protocol, protocol), episode, grasp, lift, share(sub, sub),
-                    ))
+            # each row is replaced in place, so a range's rows and records never coexist
+            for i, row in enumerate(rows):
+                rows[i] = new_record(EpisodeRecord, row)
             records += rows
     finally:
         if collecting:

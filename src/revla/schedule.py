@@ -136,8 +136,6 @@ def plan_for_variant(variant_name: str, total_steps: int, stage_length: int | No
     if variant_name.endswith("_flip"):
         schedule = Schedule.flip(total_steps)
     else:
-        if stage_length is None:
-            raise ScheduleError("gradual variants require a stage length")
         schedule = Schedule.gradual(total_steps, stage_length)
     return MergePlan(schedule, Selector(_patterns_for_variant(variant_name)), variant_name)
 
@@ -151,10 +149,10 @@ def apply_stage(current: Checkpoint, pretrained: Checkpoint, plan: MergePlan, st
     """
     from .merge import MergeSpec, linear_merge  # loads numpy, which the rest of this module never needs
 
-    boundary_alphas = dict(stage_boundaries(plan.schedule))
-    if step not in boundary_alphas:
+    schedule = plan.schedule
+    if not (0 <= step < schedule.total_steps and step % schedule.stage_length == 0):
         raise ScheduleError(
-            f"step {step} is not a stage boundary of the {plan.schedule.mode} "
-            f"schedule (boundaries every {plan.schedule.stage_length} steps)"
+            f"step {step} is not a stage boundary of the {schedule.mode} "
+            f"schedule (boundaries every {schedule.stage_length} steps)"
         )
-    return linear_merge(current, pretrained, MergeSpec(boundary_alphas[step], plan.selector))
+    return linear_merge(current, pretrained, MergeSpec(alpha_at(schedule, step), plan.selector))

@@ -377,12 +377,6 @@ def test_lab_config_unknown_key_fails(tmp_path, capsys):
     assert "unknown lab config keys" in capsys.readouterr().err
 
 
-def test_log_level_env_var_is_honored(checkpoint_pair, tmp_path, monkeypatch):
-    _, _, cur_path, _ = checkpoint_pair
-    monkeypatch.setenv("REVLA_LOG_LEVEL", "debug")
-    assert main(["inspect", str(cur_path), "--out", str(tmp_path / "o.json")]) == 0
-
-
 def test_lab_repeated_runs_are_bitwise_identical(tmp_path):
     dirs = [tmp_path / "run1", tmp_path / "run2"]
     for out_dir in dirs:
@@ -641,7 +635,7 @@ def test_version_loads_neither_pickle_nor_the_fork_helper():
     code = (f"import sys; sys.path.insert(0, {root!r}); sys.argv = ['revla', '--version']\n"
             "import runpy\n"
             "try:\n    runpy.run_module('revla.cli', run_name='__main__')\n"
-            "finally:\n    print(sorted({'pickle', 'revla.cores'} & set(sys.modules)))")
+            "finally:\n    print(sorted({'logging', 'pickle', 'revla.cores'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
     assert result.stdout.splitlines()[-1] == "[]", result.stderr
 

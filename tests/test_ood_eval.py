@@ -366,6 +366,26 @@ def test_record_is_an_immutable_named_tuple():
     assert record._replace(episode=5) == record[:4] + (5,) + record[5:]
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("policy", 3, "policy must be a string"),
+    ("policy", None, "policy must be a string"),
+    ("target_object", 7, "object must be a string"),
+    ("target_object", ["pear"], "object must be a string"),
+    ("episode", True, "episode must be an integer"),
+    ("episode", "3", "episode must be an integer"),
+    ("grasp_success", 1, "grasp_success must be a boolean"),
+    ("lift_success", 0, "lift_success must be a boolean"),
+    ("sub_setting", 3, "sub_setting must be a string or null"),
+])
+def test_record_checks_field_types(field, value, message):
+    fields = dict(policy="p", target_object="pear", setting="single", protocol="visual_matching",
+                  episode=3, grasp_success=True, lift_success=False, sub_setting="vertical")
+    fields[field] = value
+    with pytest.raises(ValueError) as excinfo:
+        EpisodeRecord(**fields)
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+
 # --- parse against the plain per-line parser ----------------------------------------
 
 
@@ -599,7 +619,8 @@ def test_a_pipe_parses_like_the_same_bytes_in_a_file(tmp_path, monkeypatch):
 
 
 def test_records_of_all_ranges_share_their_strings(tmp_path, monkeypatch):
-    # policies interleaved, so that every range holds every policy, object and sub-setting
+    # policies interleaved, so that every range holds every policy, object and sub-setting;
+    # each range has its own string table, so only records of one range share a string
     cells = [expand_cell(policy, "coke_can", "single", episodes=60, lift_successes=20,
                          protocol=protocol, sub_setting=sub)
              for policy in ("OpenVLA", "ReVLA") for protocol in PROTOCOLS for sub in (None, "vertical")]
@@ -609,16 +630,21 @@ def test_records_of_all_ranges_share_their_strings(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", path.stat().st_size // 4)
     with open(path, "rb") as fh:
-        assert len(ood_eval._line_ranges(fh.fileno(), path.stat().st_size)) == 3
+        ranges = ood_eval._line_ranges(fh.fileno(), path.stat().st_size)
+    assert len(ranges) == 3
     parsed = parse_episode_log(path)
     assert parsed == records
-    objects = {}
-    for record in parsed:
-        for value in (record.policy, record.target_object, record.sub_setting):
-            objects.setdefault(value, set()).add(id(value))
-    assert {value: len(ids) for value, ids in objects.items()} == dict.fromkeys(objects, 1)
-    assert all(r.setting is SETTINGS[SETTINGS.index(r.setting)]
-               and r.protocol is PROTOCOLS[PROTOCOLS.index(r.protocol)] for r in parsed)
+    data, lines_before = path.read_bytes(), 0
+    for start, stop in ranges:
+        line_count = data[start:stop].count(b"\n")
+        objects = {}
+        for record in parsed[lines_before:lines_before + line_count]:
+            for value in record:
+                if isinstance(value, str):
+                    objects.setdefault(value, set()).add(id(value))
+        assert {value: len(ids) for value, ids in objects.items()} == dict.fromkeys(objects, 1)
+        lines_before += line_count
+    assert lines_before == len(parsed)
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
@@ -628,9 +654,9 @@ def test_parse_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, colle
     bad.write_text("{truncated\n")
     paused, parse_lines = [], ood_eval._parse_lines
 
-    def spy(lines, shared):
+    def spy(lines):
         paused.append(not gc.isenabled())
-        return parse_lines(lines, shared)
+        return parse_lines(lines)
 
     monkeypatch.setattr(ood_eval, "_parse_lines", spy)
     was_collecting = gc.isenabled()
@@ -676,8 +702,11 @@ def test_parse_memory_per_episode_is_capped(tmp_path):
         tracemalloc.stop()
     assert len(parsed) == 24_000 and parsed == records
     assert peak / len(parsed) <= 200, f"{peak / len(parsed):.0f} B per episode"
+    # each range has its own string table, so a policy has at most one object per range
+    with open(path, "rb") as fh:
+        range_count = len(ood_eval._line_ranges(fh.fileno(), path.stat().st_size))
     for policy in policies:
-        assert len({id(r.policy) for r in parsed if r.policy == policy}) == 1
+        assert len({id(r.policy) for r in parsed if r.policy == policy}) <= range_count
 
 
 def test_renderers_produce_aligned_tables():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from revla import merge
 from revla.schedule import (
     Schedule,
     ScheduleError,
@@ -142,6 +143,24 @@ def test_non_boundary_step_rejected():
     plan = plan_for_variant("D_gradual", 6, 2)
     with pytest.raises(ScheduleError, match="not a stage boundary"):
         apply_stage(cur, pre, plan, 3)
+
+
+@pytest.mark.parametrize("total,stage", [
+    (10, 1), (21, 7), (49, 7), (99, 33), (300, 100), (5000, 500), (100_000, 1),
+])
+def test_stage_alpha_equals_the_boundary_table_bitwise(monkeypatch, total, stage):
+    alphas = []
+    monkeypatch.setattr(merge, "linear_merge", lambda cur, pre, spec: alphas.append(spec.alpha))
+    plan = plan_for_variant("D_gradual", total, stage)
+    boundaries = stage_boundaries(plan.schedule)
+    for step, _ in boundaries:
+        apply_stage(None, None, plan, step)
+    assert [alpha.hex() for alpha in alphas] == [alpha.hex() for _, alpha in boundaries]
+    for step in [-stage, -1, total, total + stage] + ([stage + 1] if stage > 1 else []):
+        with pytest.raises(ScheduleError) as excinfo:
+            apply_stage(None, None, plan, step)
+        assert str(excinfo.value) == (
+            f"step {step} is not a stage boundary of the gradual schedule (boundaries every {stage} steps)")
 
 
 def test_monotone_reversal_toward_pretrained():
