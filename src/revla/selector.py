@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass(frozen=True)
 class Selector:
-    """Name patterns where ``*`` matches any character run, across dots.
+    """Name patterns where ``*`` matches any run of characters, dots and newlines included.
 
-    ``vision.dino.*`` therefore selects the whole subtree under that prefix.
-    The selection is the union over patterns; no patterns selects nothing.
-    Patterns come as a list or tuple: a bare string would otherwise split
+    Every other character is literal, so ``vision.dino.*`` selects the subtree
+    under that prefix. The selection is the union over patterns; no patterns
+    selects nothing. Patterns come as a list or tuple: a bare string would split
     into one-character patterns, and a ``*`` among them selects everything.
     """
 
@@ -31,11 +30,9 @@ class Selector:
             if not isinstance(pat, str) or not pat:
                 raise ValueError(f"malformed selector pattern: {pat!r} (must be a non-empty string)")
         object.__setattr__(self, "patterns", pats)
+        union = "|".join(".*".join(map(re.escape, pat.split("*"))) for pat in pats) or "(?!)"
+        # not a dataclass field, so equality, hash and repr stay on the patterns
+        object.__setattr__(self, "_regex", re.compile(union, re.DOTALL))
 
     def matches(self, name: str) -> bool:
-        return any(_compile_pattern(pat).fullmatch(name) for pat in self.patterns)
-
-
-@lru_cache(maxsize=256)
-def _compile_pattern(pattern: str) -> re.Pattern[str]:
-    return re.compile(".*".join(re.escape(part) for part in pattern.split("*")))
+        return self._regex.fullmatch(name) is not None

@@ -220,10 +220,9 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return bool((a.view(bits) == b.view(bits)).all())
 
 
-def select(source: Checkpoint | Iterable[str], selector: Selector) -> list[str]:
-    """Names matching any selector pattern, in lexicographic order."""
-    names = source.names() if isinstance(source, Checkpoint) else sorted(source)
-    return [name for name in names if selector.matches(name)]
+def select(source: Iterable[str], selector: Selector) -> list[str]:
+    """Names of ``source`` (a ``Checkpoint`` iterates over its own) matching ``selector``, sorted."""
+    return [name for name in sorted(source) if selector.matches(name)]
 
 
 def validate_compat(a: Checkpoint, b: Checkpoint, names: Iterable[str] | None = None) -> list[str]:
@@ -441,9 +440,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write the canonical serialization of ``ckpt`` to ``path``, replacing it atomically.
 
     The bytes go to a new file beside ``path`` that is renamed over it once
-    complete, so a failed write leaves an existing ``path`` as it was.
+    complete, so a failed write leaves an existing ``path`` as it was. The
+    new file's name is short whatever ``path``'s length, so any name the
+    file system accepts for ``path`` can be saved to.
     """
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         fh = open(tmp, "xb")
     except FileNotFoundError as exc:

@@ -144,9 +144,11 @@ def _reverse(
     reversal_losses: list[float] = []
     stage_length = plan.schedule.stage_length
     boundaries = stage_boundaries(plan.schedule)
+    reverted = select(shared.finetuned, plan.selector)
     for step, _ in boundaries:
         merged = apply_stage(shared.finetuned, shared.pretrained, plan, step)
-        model.load_tensors(merged, select(merged, plan.selector))
+        # read-only until train's copy, which checks each parameter's shape and finiteness
+        model.params.update((name, merged[name]) for name in reverted)
         model, stage_losses = train(
             model, task_b, stage_length, LEARNING_RATE, encoder_freeze, rng=reversal_rng
         )

@@ -50,7 +50,7 @@ class ToyModel:
             arr = np.asarray(params[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name}: parameters must be finite")
             self.params[name] = arr.copy()
 
@@ -82,14 +82,6 @@ class ToyModel:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "ToyModel":
         return cls({name: ckpt[name] for name in ckpt.names()})
-
-    def load_tensors(self, ckpt: Checkpoint, names: list[str]) -> None:
-        """Overwrite the given parameters with the checkpoint's values."""
-        for name in names:
-            arr = np.asarray(ckpt[name], dtype=np.float64)
-            if arr.shape != PARAM_SHAPES[name]:
-                raise ValueError(f"{name}: expected shape {PARAM_SHAPES[name]}, got {arr.shape}")
-            self.params[name] = arr.copy()
 
 
 def _encode(p: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -126,6 +126,22 @@ def test_merge_alpha_one_select_all_equals_pretrained(checkpoint_pair, tmp_path)
     assert out.read_bytes() == serialize_checkpoint(pretrained)
 
 
+def test_merge_alpha_one_select_all_covers_a_name_with_a_newline(tmp_path, capsys):
+    rng = np.random.default_rng(32)
+    names = ["enc\nw", "head.w"]
+    current, pretrained = (Checkpoint({n: rng.standard_normal(4) for n in names}) for _ in range(2))
+    cur_path, pre_path, out = tmp_path / "current.st", tmp_path / "pretrained.st", tmp_path / "merged.st"
+    save_checkpoint(current, cur_path)
+    save_checkpoint(pretrained, pre_path)
+    code = main([
+        "merge", str(cur_path), str(pre_path), "--alpha", "1", "--select", "*",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == f"wrote {out}: 2 tensors merged at alpha=1.0\n"
+    assert out.read_bytes() == serialize_checkpoint(pretrained)
+
+
 def test_merge_alpha_zero_equals_current(checkpoint_pair, tmp_path):
     current, _, cur_path, pre_path = checkpoint_pair
     out = tmp_path / "merged.st"

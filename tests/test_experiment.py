@@ -77,22 +77,29 @@ def test_forgetting_shows_in_probe_ordering(gradual_run):
     assert report.probe_err_pretrained > 0
 
 
-def test_stage_states_equal_direct_interpolation(gradual_run):
+def test_stage_states_equal_direct_interpolation(gradual_run, tmp_path):
     # the experiment's staged encoder must match evaluating the blend
-    # formula directly on the (fine-tuned, pretrained) pair at each alpha
+    # formula directly on the (fine-tuned, pretrained) pair at each alpha,
+    # for three 100-step stages and for twelve 1-step stages
     plan, _, stages, out = gradual_run
-    pretrained = load_checkpoint(out / "DS_gradual_pretrained.safetensors")
-    finetuned = load_checkpoint(out / "DS_gradual_finetuned.safetensors")
     assert [(s, a) for s, a, _ in stages] == [(0, 1 / 3), (100, 2 / 3), (200, 1.0)]
-    for _, alpha, staged in stages:
-        direct = linear_merge(finetuned, pretrained, MergeSpec(alpha, plan.selector))
-        for name in select(direct, plan.selector):
-            assert staged[name].tobytes() == direct[name].tobytes()
-    # phase 3 starts from the fine-tuned snapshot: before any reversal
-    # training, the tensors outside the plan are the fine-tuned ones
-    first_stage = stages[0][2]
-    for name in set(first_stage.names()) - set(select(first_stage, plan.selector)):
-        assert first_stage[name].tobytes() == finetuned[name].tobytes()
+    short_plan = plan_for_variant("D_gradual", 12, 1)
+    _, short_stages = _run_recording_stages(short_plan, tmp_path)
+    assert [(s, a) for s, a, _ in short_stages] == [(i, (i + 1) / 12) for i in range(12)]
+    for plan, stages, out in ((plan, stages, out), (short_plan, short_stages, tmp_path)):
+        pretrained = load_checkpoint(out / f"{plan.variant_name}_pretrained.safetensors")
+        finetuned = load_checkpoint(out / f"{plan.variant_name}_finetuned.safetensors")
+        for _, alpha, staged in stages:
+            direct = linear_merge(finetuned, pretrained, MergeSpec(alpha, plan.selector))
+            encoder = select(direct, plan.selector)
+            assert encoder
+            for name in encoder:
+                assert staged[name].tobytes() == direct[name].tobytes()
+        # phase 3 starts from the fine-tuned snapshot: before any reversal
+        # training, the tensors outside the plan are the fine-tuned ones
+        first_stage = stages[0][2]
+        for name in set(first_stage.names()) - set(select(first_stage, plan.selector)):
+            assert first_stage[name].tobytes() == finetuned[name].tobytes()
 
 
 def test_final_checkpoint_encoder_equals_pretrained(gradual_run):

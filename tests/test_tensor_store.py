@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revla.tensor_store as tensor_store
@@ -518,6 +518,18 @@ def test_failed_save_leaves_target_untouched(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.st"]
 
 
+@pytest.mark.parametrize("stem", ["m" * 250, "\u00e9" * 125], ids=["ascii", "utf8"])
+def test_save_to_a_name_of_250_bytes_leaves_no_temporary_file(tmp_path, stem):
+    # the temporary file's name must fit wherever the target's does
+    target = tmp_path / f"{stem}.st"
+    assert len(target.name.encode()) == 253
+    ckpt = Checkpoint({"w": np.ones(3)})
+    for _ in range(2):  # a new file, then one replaced
+        save_checkpoint(ckpt, target)
+        assert load_checkpoint(target) == ckpt
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
 _names = st.lists(
     st.from_regex(r"[a-c](\.[a-c0-9]{1,3}){0,2}", fullmatch=True),
     min_size=0, max_size=4, unique=True,
@@ -637,6 +649,49 @@ def test_selector_monotonicity(names, patterns, extra):
     base = set(select(names, Selector(patterns)))
     widened = set(select(names, Selector(patterns + [extra])))
     assert base <= widened
+
+
+def _glob_matches(pattern, name):
+    """``name`` against ``pattern`` where only ``*`` is special, by string search."""
+    if "*" not in pattern:
+        return name == pattern
+    first, *middle, last = pattern.split("*")
+    end = len(name) - len(last)
+    if end < len(first) or not (name.startswith(first) and name.endswith(last)):
+        return False
+    pos = len(first)
+    for piece in middle:  # each piece at its leftmost place leaves the most room for the rest
+        pos = name.find(piece, pos, end)
+        if pos < 0:
+            return False
+        pos += len(piece)
+    return True
+
+
+_glob_text = st.text(alphabet="ab.|()[]?+\\^$*\n", max_size=8)
+
+
+@st.composite
+def _patterns_and_names(draw):
+    patterns = draw(st.lists(_glob_text.filter(bool), max_size=3))
+    names = draw(st.lists(_glob_text, max_size=3))
+    for pattern in patterns:  # and a name made from each pattern, so that matches are common
+        pieces = pattern.split("*")
+        fills = draw(st.lists(_glob_text, min_size=len(pieces) - 1, max_size=len(pieces) - 1))
+        names.append(pieces[0] + "".join(fill + piece for fill, piece in zip(fills, pieces[1:])))
+    return patterns, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(_patterns_and_names())
+@example((["a|b"], ["a", "b", "a|b"]))
+@example((["*"], ["enc\nw", "\n"]))
+@example((["a*b*a"], ["aba", "abba", "ab", "a\nb\na"]))
+def test_selector_matches_the_glob_oracle(case):
+    patterns, names = case
+    sel = Selector(patterns)
+    for name in names:
+        assert sel.matches(name) == any(_glob_matches(p, name) for p in patterns), (patterns, name)
 
 
 # --- compatibility reports ----------------------------------------------------
