@@ -207,7 +207,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for log_path in args.logs:
         records.extend(parse_episode_log(log_path))
     table = aggregate(records, args.metric)
+    del records  # all that follows reads the table
     summary = partial_success_summary(table)
+    if args.baseline and args.baseline not in summary:
+        raise EvalLogError(f"baseline policy {args.baseline!r} not present in the logs")
 
     ood_text = render_ood_table(table)
     print(ood_text, end="")
@@ -226,8 +229,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         },
     }
     if args.baseline:
-        if args.baseline not in summary:
-            raise EvalLogError(f"baseline policy {args.baseline!r} not present in the logs")
         base_grasp, base_lift = summary[args.baseline]
         improvements = {}
         for policy, (grasp, lift) in summary.items():

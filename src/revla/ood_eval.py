@@ -20,6 +20,7 @@ import io
 import json
 import os
 import stat
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -199,21 +200,24 @@ _CELL_KEY_FIELDS = ("policy", "target_object", "setting", "protocol", "sub_setti
 def _tally(records: Iterable[EpisodeRecord], duplicates: set[tuple]) -> dict[CellKey, Cell]:
     """Episode, grasp and lift counts of ``records`` per cell.
 
-    Each ``(*cell key, episode)`` that occurs more than once is added to
-    ``duplicates``.
+    The records are grouped into one list per cell, and each cell is then
+    counted and checked on its own, so the only set of episode ids alive
+    is the current cell's. Each ``(*cell key, episode)`` that occurs more
+    than once is added to ``duplicates``.
     """
     key = attrgetter(*_CELL_KEY_FIELDS)
-    counts: dict[CellKey, tuple[int, int, int]] = {}
-    episode_ids: dict[CellKey, set[int]] = {}
+    groups: dict[CellKey, list[EpisodeRecord]] = {}
     for r in records:
-        k = key(r)
-        episodes, grasps, lifts = counts.get(k, (0, 0, 0))
-        counts[k] = (episodes + 1, grasps + r.grasp_success, lifts + r.lift_success)
-        ids = episode_ids[k] if episodes else episode_ids.setdefault(k, set())
-        if r.episode in ids:
-            duplicates.add((*k, r.episode))
-        ids.add(r.episode)
-    return {k: Cell(*c) for k, c in counts.items()}
+        groups.setdefault(key(r), []).append(r)
+    episode, grasp, lift = (itemgetter(EpisodeRecord._fields.index(field))
+                            for field in ("episode", "grasp_success", "lift_success"))
+    cells = {}
+    for k, group in groups.items():
+        ids = list(map(episode, group))
+        if len(set(ids)) != len(ids):
+            duplicates.update((*k, i) for i, n in Counter(ids).items() if n > 1)
+        cells[k] = Cell(len(group), sum(map(grasp, group)), sum(map(lift, group)))
+    return cells
 
 
 @dataclass(frozen=True)

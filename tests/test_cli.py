@@ -480,6 +480,17 @@ def test_eval_zero_baseline_records_null_and_prints_na(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("improvement over p:\n  q: grasp n/a  lift n/a\n")
 
 
+def test_eval_missing_baseline_fails_before_printing(tmp_path, capsys):
+    log = tmp_path / "five.jsonl"
+    write_episode_log(expand_cell("p", "pear", "single", episodes=5, lift_successes=2), log)
+    out = tmp_path / "report.json"
+    assert main(["eval", str(log), "--baseline", "P", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: baseline policy 'P' not present in the logs\n"
+    assert not out.exists()
+
+
 def test_eval_empty_log_fails(tmp_path, capsys):
     log = tmp_path / "empty.jsonl"
     log.write_text("")

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -311,9 +312,78 @@ def test_unknown_scenario_rejected():
 
 
 def test_duplicate_episode_ids_rejected():
-    records = expand_cell("p", "pear", "single", episodes=2, lift_successes=1)
-    with pytest.raises(DuplicateEpisodeError, match="duplicate"):
-        aggregate(records + records[:1])
+    pear = expand_cell("p", "pear", "single", episodes=3, lift_successes=1)
+    can = expand_cell("p", "coke_can", "single", episodes=2, lift_successes=1)
+    vertical = expand_cell("p", "coke_can", "single", episodes=2, lift_successes=0,
+                           sub_setting="vertical")
+    # pear episode 2 three times, apart; each coke_can cell repeats episode 0 once
+    records = pear + vertical[:1] + can + pear[2:] + vertical + can[:1] + pear[2:]
+    with pytest.raises(DuplicateEpisodeError) as excinfo:
+        aggregate(records)
+    assert str(excinfo.value) == (
+        "duplicate episode ids: ["
+        "('p', 'coke_can', 'single', 'visual_matching', None, 0), "
+        "('p', 'coke_can', 'single', 'visual_matching', 'vertical', 0), "
+        "('p', 'pear', 'single', 'visual_matching', None, 2)]"
+    )
+
+
+def _reference_aggregate(records):
+    """Cells and error text of ``aggregate`` from ``Counter``s over cell keys and a plain scan."""
+    keys = [(r.policy, r.target_object, r.setting, r.protocol, r.sub_setting) for r in records]
+    episodes = Counter(keys)
+    grasps = Counter(k for k, r in zip(keys, records) if r.grasp_success)
+    lifts = Counter(k for k, r in zip(keys, records) if r.lift_success)
+    cells = {k: Cell(n, grasps[k], lifts[k]) for k, n in episodes.items()}
+    unknown = sorted({k[1:4] for k in keys if k[1:4] not in SCENARIOS})
+    if unknown:
+        return cells, f"records reference undeclared scenarios: {unknown}"
+    repeats = []
+    for i, (k, r) in enumerate(zip(keys, records)):
+        if any(keys[j] == k and records[j].episode == r.episode for j in range(i)):
+            if (*k, r.episode) not in repeats:
+                repeats.append((*k, r.episode))
+    if repeats:
+        # a missing sub-setting sorts before every named one
+        repeats.sort(key=lambda d: (d[:4], d[4] is not None, d[4] or "", d[5]))
+        return cells, f"duplicate episode ids: {repeats}"
+    return cells, None
+
+
+@st.composite
+def _records_with_repeats(draw):
+    scenarios = sorted(SCENARIOS) + [("banana", "single", "visual_matching")]
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        obj, setting, protocol = draw(st.sampled_from(scenarios))
+        records += expand_cell(
+            draw(st.sampled_from(["p", "q"])), obj, setting, protocol=protocol,
+            episodes=draw(st.integers(1, 5)), lift_successes=0,
+            grasp_successes=draw(st.integers(0, 1)),
+            sub_setting=draw(st.sampled_from([None, "vertical", "horizontal"])),
+            first_episode=draw(st.integers(0, 3)),
+        )
+    # repeat some records once or twice, with their own outcomes
+    for record in draw(st.lists(st.sampled_from(records), max_size=4)):
+        for _ in range(draw(st.integers(1, 2))):
+            grasp = draw(st.booleans())
+            records.append(record._replace(grasp_success=grasp,
+                                           lift_success=grasp and draw(st.booleans())))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_records_with_repeats())
+def test_aggregate_matches_the_brute_force_reference(records):
+    cells, error = _reference_aggregate(records)
+    assert ood_eval._tally(records, set()) == cells
+    if error is None:
+        assert aggregate(records).cells == cells
+    else:
+        with pytest.raises((UnknownScenarioError, DuplicateEpisodeError)) as excinfo:
+            aggregate(records)
+        assert str(excinfo.value) == error
+        assert isinstance(excinfo.value, UnknownScenarioError) == error.startswith("records")
 
 
 def test_empty_aggregate_rejected():
@@ -683,14 +753,20 @@ def _parse_or_error(path):
         return [], str(exc).split("\n")[1:]
 
 
-def test_parse_memory_per_episode_is_capped(tmp_path):
-    policies = [f"policy_{i:02d}" for i in range(20)]
+def _sweep_records(policies):
+    """100 episodes in each of 12 cells per policy: 6 out-of-domain, 6 in-domain."""
     records = []
     for policy in policies:
         records += ood_records(policy, (50,) * 6, episodes=(100,) * 6)
         for protocol, sub in itertools.product(PROTOCOLS, ("horizontal", "vertical", "standing")):
             records += expand_cell(policy, "coke_can", "single", episodes=100, lift_successes=40,
                                    grasp_successes=60, protocol=protocol, sub_setting=sub)
+    return records
+
+
+def test_parse_memory_per_episode_is_capped(tmp_path):
+    policies = [f"policy_{i:02d}" for i in range(20)]
+    records = _sweep_records(policies)
     path = tmp_path / "episodes.jsonl"
     write_episode_log(records, path)
     tracemalloc.start()
@@ -707,6 +783,20 @@ def test_parse_memory_per_episode_is_capped(tmp_path):
         range_count = len(ood_eval._line_ranges(fh.fileno(), path.stat().st_size))
     for policy in policies:
         assert len({id(r.policy) for r in parsed if r.policy == policy}) <= range_count
+
+
+def test_aggregate_memory_per_record_is_capped():
+    records = _sweep_records([f"policy_{i:02d}" for i in range(20)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = aggregate(records)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 24_000 and len(table.cells) == 240
+    # a list of references per cell, and one cell's episode ids at a time
+    assert peak / len(records) <= 24, f"{peak / len(records):.1f} B per record"
 
 
 def test_renderers_produce_aligned_tables():
