@@ -191,9 +191,9 @@ def cmd_lab(args: argparse.Namespace) -> int:
     config = LabConfig(**settings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = run_reversal_experiment(
-        plans, config, checkpoint_dir=out_dir if args.save_checkpoints else None
-    )
+    checkpoint_dir = out_dir if args.save_checkpoints else None
+    reports, shared_curves = run_reversal_experiment(plans, config, checkpoint_dir=checkpoint_dir)
+    _write_json(out_dir / "shared.json", {"loss_curves": shared_curves})
     for report in reports:
         (out_dir / f"report_{report.variant_name}.json").write_text(report.to_json(), encoding="utf-8")
     comparison = render_comparison(reports)
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lab.add_argument("--finetune-steps", type=int)
     p_lab.add_argument("--config", help="JSON experiment config; explicit flags override it")
     p_lab.add_argument("--save-checkpoints", action="store_true",
-                       help="also write pretrained/fine-tuned/final checkpoints")
+                       help="also write the shared pretrained/fine-tuned and each final checkpoint")
     p_lab.add_argument("--out", default="lab_reports", help="report directory")
     p_lab.set_defaults(func=cmd_lab)
 

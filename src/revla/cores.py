@@ -9,6 +9,7 @@ not import numpy, so the commands that never use it can fork through it.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
@@ -20,6 +21,26 @@ R = TypeVar("R")
 def usable_cores() -> int:
     """The cores this process may run on, or 1 where the platform cannot say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class ByteRange(io.RawIOBase):
+    """Bytes ``start:stop`` of an open file, read by ``os.preadv``, which moves no file offset.
+
+    Processes forked with the file open may so read it at once. Under ``io.BufferedReader``,
+    ``read(n)`` fills one new ``bytes``, calling again until it has all ``n`` (one call stops
+    short of 2 GiB on Linux).
+    """
+
+    def __init__(self, fd: int, start: int, stop: int) -> None:
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = os.preadv(self._fd, [memoryview(buffer)[: self._stop - self._pos]], self._pos)
+        self._pos += count
+        return count
 
 
 def _run_in_worker(fn: Callable[[T], R], items: Sequence[T], write_fd: int) -> NoReturn:

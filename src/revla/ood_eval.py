@@ -356,22 +356,6 @@ _PROTOCOL_CONSTANTS = {protocol: protocol for protocol in PROTOCOLS}
 _MIN_RANGE_BYTES = 1 << 20
 
 
-class _ByteRange(io.RawIOBase):
-    """Bytes ``start:stop`` of an open file, read with ``os.pread`` so that no file offset is shared."""
-
-    def __init__(self, fd: int, start: int, stop: int) -> None:
-        self._fd, self._pos, self._stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = os.pread(self._fd, min(len(buffer), self._stop - self._pos), self._pos)
-        buffer[: len(data)] = data
-        self._pos += len(data)
-        return len(data)
-
-
 def _text_lines(binary: io.BufferedIOBase) -> io.TextIOWrapper:
     """``binary`` read as text mode reads a file.
 
@@ -484,10 +468,10 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
             fd = raw.fileno()
             info = os.fstat(fd)
             if stat.S_ISREG(info.st_mode):
-                from .cores import map_on_cores
+                from .cores import ByteRange, map_on_cores
 
                 parts = map_on_cores(
-                    lambda r: _parse_lines(_text_lines(io.BufferedReader(_ByteRange(fd, *r)))),
+                    lambda r: _parse_lines(_text_lines(io.BufferedReader(ByteRange(fd, *r)))),
                     _line_ranges(fd, info.st_size),
                 )
             else:

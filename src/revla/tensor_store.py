@@ -19,6 +19,7 @@ time on top of what it computes.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from .cores import ByteRange
 from .selector import Selector
 
 _HEADER_LEN_SIZE = 8
@@ -79,7 +81,6 @@ class _Source:
         self.path = path
         self._file = open(path, "rb", buffering=0)
         weakref.finalize(self, self._file.close)
-        self._lock = threading.Lock()  # a read moves the file's one position
         self._stamp = self._stat()
         self.size = self._stamp[1]
         self.head = b""  # the length field and header, once the loader has read them
@@ -89,17 +90,12 @@ class _Source:
         return st.st_ino, st.st_size, st.st_mtime_ns
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        """``nbytes`` bytes from ``offset``, in one new ``bytes`` object."""
-        with self._lock:
-            if self._stat() == self._stamp:
-                # A new buffered reader keeps no bytes from an earlier read, and
-                # repeats the system call until it has them all: one call stops
-                # short of 2 GiB on Linux.
-                with open(self._file.fileno(), "rb", closefd=False) as reader:
-                    reader.seek(offset)
-                    data = reader.read(nbytes)
-                if len(data) == nbytes:
-                    return data
+        """``nbytes`` bytes from ``offset``, in one new ``bytes`` object; no file offset moves."""
+        if self._stat() == self._stamp:
+            reader = io.BufferedReader(ByteRange(self._file.fileno(), offset, offset + nbytes))
+            data = reader.read(nbytes)
+            if len(data) == nbytes:
+                return data
         raise CheckpointFormatError(f"{self.path} changed since it was loaded")
 
 
@@ -442,8 +438,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     The bytes go to a new file beside ``path`` that is renamed over it once
     complete, so a failed write leaves an existing ``path`` as it was. The
     new file's name is short whatever ``path``'s length, so any name the
-    file system accepts for ``path`` can be saved to.
+    file system accepts can be saved to, and one it refuses fails first.
     """
+    try:
+        os.lstat(path)
+    except FileNotFoundError:
+        pass  # a new file
     tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         fh = open(tmp, "xb")

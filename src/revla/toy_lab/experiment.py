@@ -31,7 +31,7 @@ from ..schedule import MergePlan, apply_stage, stage_boundaries
 from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint, select
 from .model import ENCODER_PATTERNS, ToyModel, forward
 from .tasks import TASK_A_DEPTH, TASK_B_ACTION, STREAM_EVAL, TaskSpec, make_dataset, stream_rng
-from .training import BATCH_SIZE, DEFAULT_RIDGE_LAMBDA, PROBE_COUNT, probe_linear, train
+from .training import BATCH_SIZE, PROBE_COUNT, RIDGE_LAMBDA, probe_linear, train
 
 STREAM_REVERSAL_TRAIN = 5
 LEARNING_RATE = 1e-2
@@ -41,7 +41,7 @@ EVAL_COUNT = 512  # task-B samples scored after the reversal
 _FIXED_SETTINGS = {
     "learning_rate": LEARNING_RATE,
     "batch_size": BATCH_SIZE,
-    "ridge_lambda": DEFAULT_RIDGE_LAMBDA,
+    "ridge_lambda": RIDGE_LAMBDA,
     "probe_train_count": PROBE_COUNT,
     "probe_heldout_count": PROBE_COUNT,
     "eval_count": EVAL_COUNT,
@@ -90,7 +90,7 @@ class ExperimentReport:
         return self.probe_err_after_finetune / self.probe_err_pretrained
 
     def to_dict(self) -> dict:
-        # not asdict: its deep copy of the 15,000 loss floats would cost over 10 ms per report
+        # not asdict: its deep copy of the 5,000 reversal loss floats would cost about 9 ms per report
         return {**vars(self), "forgetting_ratio": self.forgetting_ratio}
 
     def to_json(self) -> str:
@@ -132,10 +132,7 @@ def _shared_phases(config: LabConfig) -> _SharedPhases:
 def _reverse(
     plan: MergePlan, config: LabConfig, shared: _SharedPhases, checkpoint_dir: Path | None
 ) -> ExperimentReport:
-    """Run phase 3 for one plan from the fine-tuned snapshot and return the plan's report.
-
-    Each report gets its own copy of the shared loss curves.
-    """
+    """Run phase 3 for one plan from the fine-tuned snapshot and return the plan's report."""
     task_a = TaskSpec(TASK_A_DEPTH, config.seed)
     task_b = TaskSpec(TASK_B_ACTION, config.seed)
     model = ToyModel.from_checkpoint(shared.finetuned)
@@ -160,9 +157,7 @@ def _reverse(
     task_b_err = float(np.mean((forward(model, x_eval, task_b.head) - y_eval) ** 2))
 
     if checkpoint_dir is not None:
-        snapshots = {"pretrained": shared.pretrained, "finetuned": shared.finetuned, "final": final}
-        for label, ckpt in snapshots.items():
-            save_checkpoint(ckpt, checkpoint_dir / f"{plan.variant_name}_{label}.safetensors")
+        save_checkpoint(final, checkpoint_dir / f"{plan.variant_name}_final.safetensors")
 
     return ExperimentReport(
         variant_name=plan.variant_name,
@@ -173,11 +168,7 @@ def _reverse(
         taskB_final_err=task_b_err,
         encoder_bitwise_reverted=_encoders_equal(final, shared.pretrained),
         stage_alphas=boundaries,
-        loss_curves={
-            "pretrain": list(shared.pretrain_losses),
-            "finetune": list(shared.finetune_losses),
-            "reversal": reversal_losses,
-        },
+        loss_curves={"reversal": reversal_losses},
         config=config.to_dict(),
     )
 
@@ -186,13 +177,14 @@ def run_reversal_experiment(
     plans: Sequence[MergePlan],
     config: LabConfig = LabConfig(),
     checkpoint_dir: str | Path | None = None,
-) -> list[ExperimentReport]:
+) -> tuple[list[ExperimentReport], dict[str, list[float]]]:
     """Pretrain and fine-tune once, then run each plan's staged reversal.
 
-    Returns one report per plan, in order; every plan reverts from the same
+    Returns one report per plan, in order, and the shared phases' loss curves
+    (``"pretrain"``, ``"finetune"``). Every plan reverts from the same
     (fine-tuned, pretrained) pair, so each report equals that of a run with
-    the plan alone. With ``checkpoint_dir`` set, each plan's pretrained,
-    fine-tuned, and final checkpoints are written there.
+    the plan alone. With ``checkpoint_dir`` set, the pair is written there
+    once (``pretrained``, ``finetuned``), and each plan's ``<variant>_final``.
 
     The reversals run in forked workers, one per usable core, unless there
     is one plan or one usable core. Reports and checkpoints are the same
@@ -203,7 +195,10 @@ def run_reversal_experiment(
     if checkpoint_dir is not None:
         out = Path(checkpoint_dir)
         out.mkdir(parents=True, exist_ok=True)
-    return map_on_cores(lambda plan: _reverse(plan, config, shared, out), list(plans))
+        save_checkpoint(shared.pretrained, out / "pretrained.safetensors")
+        save_checkpoint(shared.finetuned, out / "finetuned.safetensors")
+    reports = map_on_cores(lambda plan: _reverse(plan, config, shared, out), list(plans))
+    return reports, {"pretrain": shared.pretrain_losses, "finetune": shared.finetune_losses}
 
 
 def render_comparison(reports: list[ExperimentReport]) -> str:

@@ -21,7 +21,7 @@ from .tasks import (
 )
 
 BATCH_SIZE = 32
-DEFAULT_RIDGE_LAMBDA = 1e-6
+RIDGE_LAMBDA = 1e-6  # the linear probe's ridge penalty
 PROBE_COUNT = 512  # samples in each of the probe's train and held-out sets
 
 
@@ -99,7 +99,7 @@ def readout_mse(coeffs: np.ndarray, features: np.ndarray, targets_: np.ndarray) 
     return float(np.mean((design @ coeffs - targets_) ** 2))
 
 
-def probe_linear(model: ToyModel, task: TaskSpec, ridge_lambda: float = DEFAULT_RIDGE_LAMBDA) -> float:
+def probe_linear(model: ToyModel, task: TaskSpec) -> float:
     """Held-out MSE of a ridge readout fit on frozen encoder features.
 
     Probe train and held-out sets of ``PROBE_COUNT`` samples each come from
@@ -108,5 +108,5 @@ def probe_linear(model: ToyModel, task: TaskSpec, ridge_lambda: float = DEFAULT_
     """
     x_train = sample_inputs(stream_rng(task, STREAM_PROBE_TRAIN), PROBE_COUNT)
     x_heldout = sample_inputs(stream_rng(task, STREAM_PROBE_HELDOUT), PROBE_COUNT)
-    coeffs = fit_ridge_readout(model.features(x_train), targets(task, x_train), ridge_lambda)
+    coeffs = fit_ridge_readout(model.features(x_train), targets(task, x_train), RIDGE_LAMBDA)
     return readout_mse(coeffs, model.features(x_heldout), targets(task, x_heldout))

@@ -65,7 +65,8 @@ def variant_reports() -> dict:
     if not _REPORT_CACHE:
         plans = [plan_for_variant(variant, 5000, 500)
                  for variant in ("D_flip", "D_gradual", "DS_flip", "DS_gradual")]
-        for report in run_reversal_experiment(plans, LabConfig(seed=CI_SEED)):
+        reports, _ = run_reversal_experiment(plans, LabConfig(seed=CI_SEED))
+        for report in reports:
             _REPORT_CACHE[report.variant_name] = report
     return _REPORT_CACHE
 
@@ -252,19 +253,24 @@ def test_criterion_9_cli_determinism(tmp_path):
             os.environ,
             PYTHONPATH=os.pathsep.join([package_root, *filter(None, inherited)]),
         )
-        run_dirs = [tmp_path / "run1", tmp_path / "run2"]
+        run_dirs, stdouts = [tmp_path / "run1", tmp_path / "run2"], []
         for run_dir in run_dirs:
             run_dir.mkdir()
             result = subprocess.run(
-                [sys.executable, "-m", "revla.cli", "lab", "--variant", "all", "--seed", str(CI_SEED)],
+                [sys.executable, "-m", "revla.cli", "lab", "--variant", "all", "--seed", str(CI_SEED),
+                 "--save-checkpoints"],
                 cwd=run_dir,
                 env=env,
                 capture_output=True,
                 text=True,
             )
             assert result.returncode == 0, result.stderr
+            stdouts.append(result.stdout)
+        assert stdouts[0] == stdouts[1]
         artifacts = sorted(p.name for p in (run_dirs[0] / "lab_reports").iterdir())
+        assert artifacts == sorted(p.name for p in (run_dirs[1] / "lab_reports").iterdir())
         assert len([a for a in artifacts if a.startswith("report_")]) == 4
+        assert len([a for a in artifacts if a.endswith(".safetensors")]) == 6
         for name in artifacts:
             first = (run_dirs[0] / "lab_reports" / name).read_bytes()
             second = (run_dirs[1] / "lab_reports" / name).read_bytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -202,6 +203,18 @@ def test_merge_into_missing_directory_names_the_target(checkpoint_pair, tmp_path
     assert not (tmp_path / "missing").exists()
 
 
+def test_merge_to_a_name_too_long_fails_before_writing(checkpoint_pair, tmp_path, monkeypatch, capsys):
+    _, _, cur_path, pre_path = checkpoint_pair
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    name = "m" * 256
+    code = main(["merge", str(cur_path), str(pre_path), "--alpha", "0.5", "--out", name])
+    assert code == 1
+    too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+    assert capsys.readouterr().err == f"error: {too_long}: '{name}'\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_merge_incompatible_prints_full_report(tmp_path, capsys):
     a, b = tmp_path / "a.st", tmp_path / "b.st"
     save_checkpoint(Checkpoint({"w": np.zeros(3)}), a)
@@ -353,6 +366,30 @@ def test_lab_all_variants_writes_four_reports(tmp_path):
     comparison = (out_dir / "comparison.txt").read_text()
     for variant in ("D_flip", "D_gradual", "DS_flip", "DS_gradual"):
         assert variant in comparison
+
+
+def test_lab_writes_each_shared_artifact_once(tmp_path):
+    # the shared checkpoints and loss curves are written once, not once per variant
+    saved, unsaved = tmp_path / "saved", tmp_path / "unsaved"
+    for out_dir, flags in ((saved, ["--save-checkpoints"]), (unsaved, [])):
+        assert main(["lab", "--variant", "all", "--seed", "3", "--out", str(out_dir)] + flags + LAB_FAST) == 0
+    variants = ("DS_flip", "DS_gradual", "D_flip", "D_gradual")
+    texts = ["comparison.txt", "shared.json", *(f"report_{v}.json" for v in variants)]
+    checkpoints = ["finetuned", "pretrained", *(f"{v}_final" for v in variants)]
+    assert sorted(p.name for p in unsaved.iterdir()) == sorted(texts)
+    assert sorted(p.name for p in saved.iterdir()) == sorted(
+        texts + [f"{name}.safetensors" for name in checkpoints])
+    for name in texts:
+        assert (saved / name).read_bytes() == (unsaved / name).read_bytes(), name
+    raw = (unsaved / "shared.json").read_text()
+    shared = json.loads(raw)
+    assert raw == json.dumps(shared, sort_keys=True, indent=2) + "\n"
+    assert {name: len(curve) for name, curve in shared["loss_curves"].items()} == {
+        "finetune": 300, "pretrain": 300}
+    for variant in variants:
+        report = json.loads((unsaved / f"report_{variant}.json").read_text())
+        assert list(report["loss_curves"]) == ["reversal"]
+        assert len(report["loss_curves"]["reversal"]) == 200
 
 
 def test_lab_divergence_in_a_worker_fails_with_one_line(tmp_path, monkeypatch, capsys):

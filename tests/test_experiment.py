@@ -40,7 +40,7 @@ def _run_recording_stages(plan, checkpoint_dir):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "train", train)
-        report = run_reversal_experiment([plan], FAST, checkpoint_dir=checkpoint_dir)[0]
+        (report,), _ = run_reversal_experiment([plan], FAST, checkpoint_dir=checkpoint_dir)
     return report, [(step, alpha, state)
                     for (step, alpha), state in zip(report.stage_alphas, states, strict=True)]
 
@@ -58,7 +58,7 @@ def test_flip_restores_encoder_from_step_zero(tmp_path):
     report, stages = _run_recording_stages(plan, tmp_path)
     assert report.encoder_bitwise_reverted
     assert [stage[:2] for stage in stages] == [(0, 1.0)]
-    pretrained = load_checkpoint(tmp_path / "DS_flip_pretrained.safetensors")
+    pretrained = load_checkpoint(tmp_path / "pretrained.safetensors")
     encoder = select(pretrained, plan.selector)
     assert encoder
     assert all(same_bits(stages[0][2][name], pretrained[name]) for name in encoder)
@@ -87,8 +87,8 @@ def test_stage_states_equal_direct_interpolation(gradual_run, tmp_path):
     _, short_stages = _run_recording_stages(short_plan, tmp_path)
     assert [(s, a) for s, a, _ in short_stages] == [(i, (i + 1) / 12) for i in range(12)]
     for plan, stages, out in ((plan, stages, out), (short_plan, short_stages, tmp_path)):
-        pretrained = load_checkpoint(out / f"{plan.variant_name}_pretrained.safetensors")
-        finetuned = load_checkpoint(out / f"{plan.variant_name}_finetuned.safetensors")
+        pretrained = load_checkpoint(out / "pretrained.safetensors")
+        finetuned = load_checkpoint(out / "finetuned.safetensors")
         for _, alpha, staged in stages:
             direct = linear_merge(finetuned, pretrained, MergeSpec(alpha, plan.selector))
             encoder = select(direct, plan.selector)
@@ -104,7 +104,7 @@ def test_stage_states_equal_direct_interpolation(gradual_run, tmp_path):
 
 def test_final_checkpoint_encoder_equals_pretrained(gradual_run):
     _, _, _, out = gradual_run
-    pretrained = load_checkpoint(out / "DS_gradual_pretrained.safetensors")
+    pretrained = load_checkpoint(out / "pretrained.safetensors")
     final = load_checkpoint(out / "DS_gradual_final.safetensors")
     encoder = [n for n in final.names() if n.startswith("vision.")]
     assert encoder
@@ -116,13 +116,13 @@ def test_final_checkpoint_encoder_equals_pretrained(gradual_run):
 @pytest.mark.parametrize("variant", sorted(VARIANT_PLANS))
 def test_all_variants_revert_bitwise(variant):
     name, total, stage = VARIANT_PLANS[variant]
-    report = run_reversal_experiment([plan_for_variant(name, total, stage)], FAST)[0]
+    (report,), _ = run_reversal_experiment([plan_for_variant(name, total, stage)], FAST)
     assert report.encoder_bitwise_reverted
     assert report.probe_err_after_reversal == report.probe_err_pretrained
 
 
 def test_report_fields_and_loss_curve_lengths(gradual_run):
-    _, report, _, _ = gradual_run
+    plan, report, _, _ = gradual_run
     assert report.variant_name == "DS_gradual"
     assert report.seed == FAST.seed
     for value in (
@@ -132,42 +132,47 @@ def test_report_fields_and_loss_curve_lengths(gradual_run):
         report.taskB_final_err,
     ):
         assert value >= 0
-    assert len(report.loss_curves["pretrain"]) == FAST.pretrain_steps
-    assert len(report.loss_curves["finetune"]) == FAST.finetune_steps
+    assert list(report.loss_curves) == ["reversal"]
     assert len(report.loss_curves["reversal"]) == 300
     assert report.stage_alphas == [(0, 1 / 3), (100, 2 / 3), (200, 1.0)]
+    # the shared phases' curves come back once per call, beside the reports
+    _, shared_curves = run_reversal_experiment([plan], FAST)
+    assert {name: len(curve) for name, curve in shared_curves.items()} == {
+        "pretrain": FAST.pretrain_steps, "finetune": FAST.finetune_steps}
 
 
 def test_plans_sharing_one_call_match_separate_calls(tmp_path):
     # the shared phases run once, yet every plan's report and checkpoints
     # must equal those of a call with that plan alone
     plans = [plan_for_variant(*VARIANT_PLANS[v]) for v in sorted(VARIANT_PLANS)]
-    together = run_reversal_experiment(plans, FAST, checkpoint_dir=tmp_path / "together")
+    together, shared_curves = run_reversal_experiment(plans, FAST, checkpoint_dir=tmp_path / "together")
     assert [r.variant_name for r in together] == [p.variant_name for p in plans]
     for plan, report in zip(plans, together):
-        alone = run_reversal_experiment([plan], FAST, checkpoint_dir=tmp_path / plan.variant_name)[0]
+        (alone,), alone_curves = run_reversal_experiment(
+            [plan], FAST, checkpoint_dir=tmp_path / plan.variant_name)
         assert report.to_json() == alone.to_json()
-        for label in ("pretrained", "finetuned", "final"):
-            name = f"{plan.variant_name}_{label}.safetensors"
-            assert (tmp_path / "together" / name).read_bytes() == (
-                tmp_path / plan.variant_name / name).read_bytes()
-    assert len(list((tmp_path / "together").iterdir())) == 3 * len(plans)
+        assert alone_curves == shared_curves
+        for name in ("pretrained", "finetuned", f"{plan.variant_name}_final"):
+            assert (tmp_path / "together" / f"{name}.safetensors").read_bytes() == (
+                tmp_path / plan.variant_name / f"{name}.safetensors").read_bytes()
+    assert len(list((tmp_path / "together").iterdir())) == 2 + len(plans)
 
 
 def test_reports_of_one_call_share_no_loss_list():
     plans = [plan_for_variant("D_flip", 300), plan_for_variant("DS_gradual", 300, 100)]
-    first, second = run_reversal_experiment(plans, FAST)
+    (first, second), shared_curves = run_reversal_experiment(plans, FAST)
     before = second.to_json()
-    for curve in first.loss_curves.values():
+    for curve in (*first.loss_curves.values(), *shared_curves.values()):
         curve.append(-1.0)
     assert second.to_json() == before
 
 
 def test_experiment_is_bitwise_deterministic():
     plan = plan_for_variant("D_flip", 300)
-    first = run_reversal_experiment([plan], FAST)[0]
-    second = run_reversal_experiment([plan], FAST)[0]
+    (first,), first_curves = run_reversal_experiment([plan], FAST)
+    (second,), second_curves = run_reversal_experiment([plan], FAST)
     assert first.to_json() == second.to_json()
+    assert first_curves == second_curves
 
 
 def test_report_json_shape(gradual_run):
@@ -190,7 +195,8 @@ def test_report_json_shape(gradual_run):
 
 def test_forked_and_sequential_runs_give_the_same_reports(monkeypatch, two_cores):
     plans = [plan_for_variant(*VARIANT_PLANS[v]) for v in sorted(VARIANT_PLANS)]
-    forked = run_reversal_experiment(plans, FAST)
+    forked, forked_curves = run_reversal_experiment(plans, FAST)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    sequential = run_reversal_experiment(plans, FAST)
+    sequential, sequential_curves = run_reversal_experiment(plans, FAST)
     assert [r.to_json() for r in forked] == [r.to_json() for r in sequential]
+    assert forked_curves == sequential_curves

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import revla.tensor_store as tensor_store
 from revla.cli import main
+from revla.cores import map_on_cores
 from revla.merge import MergeSpec, linear_merge
 from revla.tensor_store import (
     Checkpoint,
@@ -397,6 +398,40 @@ def test_a_dropped_checkpoint_closes_its_file(tmp_path):
         del ckpt
         gc.collect()
     assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_forked_readers_of_one_loaded_file_read_the_right_bytes(tmp_path, monkeypatch):
+    # the caller and a forked worker read the one open file at the same time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rng = np.random.default_rng(9)
+    entries = [(f"t{i:04d}", rng.standard_normal(16).astype(np.float32)) for i in range(2000)]
+    ckpt = load_checkpoint(write_file(tmp_path, build_file_bytes(entries)))
+
+    def wrong_reads(_):
+        return sum(ckpt[name].tobytes() != arr.tobytes() for _ in range(10) for name, arr in entries)
+
+    assert map_on_cores(wrong_reads, [0, 1]) == [0, 0]
+
+
+def test_a_read_leaves_the_file_offset_alone(tmp_path):
+    ckpt = load_checkpoint(write_file(tmp_path, build_file_bytes(_entries())))
+    fd = ckpt._tensors["b.w"].source._file.fileno()
+    os.lseek(fd, 3, os.SEEK_SET)
+    assert ckpt["b.w"].tobytes() == _entries()[1][1].tobytes()
+    serialize_checkpoint(ckpt)
+    assert os.lseek(fd, 0, os.SEEK_CUR) == 3
+
+
+def test_a_read_cut_short_by_the_system_is_resumed_in_one_buffer(tmp_path, monkeypatch):
+    # one system call reads less than 2 GiB on Linux; 1,000 bytes stand in for that limit here
+    current, _, path = _invariant_pair(tmp_path)
+    ckpt, name = load_checkpoint(path), current.names()[0]
+    preadv, got = os.preadv, []
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: preadv(
+        fd, [memoryview(buffers[0])[:1000]], offset))
+    peak = _traced_peak(lambda: got.append(ckpt[name]))
+    assert got[0].tobytes() == current[name].tobytes()
+    assert peak <= got[0].nbytes + 16 * 1024
 
 
 def _entries():

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+import revla.toy_lab.training as training
 from revla.tensor_store import Selector, select
 from revla.toy_lab.model import (
     ENCODER_NAMES,
@@ -219,9 +220,12 @@ def test_probe_is_deterministic():
     assert probe_linear(model, task) == probe_linear(model, task)
 
 
-def test_probe_insensitive_to_lambda_in_safe_range():
+def test_probe_insensitive_to_lambda_in_safe_range(monkeypatch):
     model, _ = train(ToyModel.initialize(9), TaskSpec(TASK_A_DEPTH, 9), 800, 1e-2)
     task = TaskSpec(TASK_A_DEPTH, 9)
-    values = [probe_linear(model, task, lam) for lam in (1e-8, 1e-6, 1e-4)]
+    values = []
+    for lam in (1e-8, 1e-6, 1e-4):
+        monkeypatch.setattr(training, "RIDGE_LAMBDA", lam)
+        values.append(probe_linear(model, task))
     spread = max(values) - min(values)
     assert spread / min(values) < 1e-5
