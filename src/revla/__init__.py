@@ -9,3 +9,16 @@ The library is imported from those modules, e.g. ``revla.tensor_store``.
 """
 
 __version__ = "0.1.0"
+
+# The command line's argument vocabularies. They live here, where every
+# command already looks for the version, so that building the parser loads
+# no library module; ``revla.ood_eval`` and ``revla.schedule`` re-export them.
+METRIC_LIFT = "lift"
+METRIC_GRASP = "grasp"
+METRICS = (METRIC_LIFT, METRIC_GRASP)
+
+MODE_GRADUAL = "gradual"
+MODE_FLIP = "flip"
+MODES = (MODE_GRADUAL, MODE_FLIP)
+
+VARIANTS = ("D_flip", "D_gradual", "DS_flip", "DS_gradual")

@@ -14,28 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
-from .ood_eval import (
-    METRIC_LIFT,
-    METRICS,
-    EvalLogError,
-    aggregate,
-    parse_episode_log,
-    partial_success_summary,
-    relative_improvement,
-    render_in_domain_table,
-    render_ood_table,
-    render_partial_success,
-)
-from .schedule import (
-    MODE_GRADUAL,
-    MODES,
-    VARIANTS,
-    Schedule,
-    plan_for_variant,
-    stage_boundaries,
-)
-from .selector import Selector
+from . import METRIC_LIFT, METRICS, MODE_GRADUAL, MODES, VARIANTS, __version__
 
 DEFAULT_LAB_TOTAL_STEPS = 5000
 DEFAULT_LAB_STAGE_LENGTH = 500
@@ -50,9 +29,9 @@ _CONFIG_KEYS = {
 def _on_first_call(module: str, name: str):
     """A function that imports ``module`` (relative to this package) when called, then calls its ``name``.
 
-    ``merge``, ``tensor_store`` and ``toy_lab`` load numpy, which ``--version``,
-    ``eval`` and ``schedule`` never use, so this module imports them only inside
-    the commands that do.
+    This module imports no library module at load time: each command imports
+    what it runs, so ``--version`` loads none, and ``schedule`` neither numpy
+    nor ``ood_eval``.
     """
     def forward(*args, **kwargs):
         return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
@@ -67,8 +46,15 @@ load_checkpoint = _on_first_call(".tensor_store", "load_checkpoint")
 save_checkpoint = _on_first_call(".tensor_store", "save_checkpoint")
 serialize_checkpoint = _on_first_call(".tensor_store", "serialize_checkpoint")
 linear_merge = _on_first_call(".merge", "linear_merge")
+plan_for_variant = _on_first_call(".schedule", "plan_for_variant")
 run_reversal_experiment = _on_first_call(".toy_lab.experiment", "run_reversal_experiment")
 render_comparison = _on_first_call(".toy_lab.experiment", "render_comparison")
+parse_episode_log = _on_first_call(".ood_eval", "parse_episode_log")
+aggregate = _on_first_call(".ood_eval", "aggregate")
+partial_success_summary = _on_first_call(".ood_eval", "partial_success_summary")
+render_ood_table = _on_first_call(".ood_eval", "render_ood_table")
+render_in_domain_table = _on_first_call(".ood_eval", "render_in_domain_table")
+render_partial_success = _on_first_call(".ood_eval", "render_partial_success")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -139,6 +125,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_merge(args: argparse.Namespace) -> int:
     from .merge import MergeSpec
+    from .selector import Selector
     from .tensor_store import select
 
     spec = MergeSpec(args.alpha, Selector(args.select or ["*"]))
@@ -155,6 +142,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    from .schedule import Schedule, stage_boundaries
+    from .selector import Selector
+
     settings = _settings(args)
     if "total_steps" not in settings:
         raise ValueError("total steps required: pass --total-steps or set total_steps in --config")
@@ -203,6 +193,8 @@ def cmd_lab(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .ood_eval import EvalLogError, relative_improvement
+
     records = []
     for log_path in args.logs:
         records.extend(parse_episode_log(log_path))

@@ -28,6 +28,8 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import METRIC_GRASP, METRIC_LIFT, METRICS
+
 OOD_OBJECTS = ("pear", "mustard_bottle", "tomato_can")
 IN_DOMAIN_OBJECT = "coke_can"
 SUB_SETTINGS = ("horizontal", "vertical", "standing")
@@ -39,10 +41,6 @@ SETTINGS = (SETTING_SINGLE, SETTING_DISTRACTOR)
 PROTOCOL_VISUAL_MATCHING = "visual_matching"
 PROTOCOL_VARIANT_AGGREGATION = "variant_aggregation"
 PROTOCOLS = (PROTOCOL_VISUAL_MATCHING, PROTOCOL_VARIANT_AGGREGATION)
-
-METRIC_LIFT = "lift"
-METRIC_GRASP = "grasp"
-METRICS = (METRIC_LIFT, METRIC_GRASP)
 
 # (object, setting, protocol): the three unseen objects alone and among
 # distractors, plus the in-domain can alone under both protocols
@@ -154,18 +152,6 @@ class EpisodeRecord(_EpisodeFields):
         # the inherited ``_make`` and ``_replace`` would skip the checks above
         return cls(*iterable)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "policy": self.policy,
-            "object": self.target_object,
-            "setting": self.setting,
-            "protocol": self.protocol,
-            "episode": self.episode,
-            "grasp_success": self.grasp_success,
-            "lift_success": self.lift_success,
-            "sub_setting": self.sub_setting,
-        }
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -256,9 +242,6 @@ class SuccessTable:
 
     def rate(self, policy: str, target_object: str, setting: str, **filters) -> float:
         return self.counts(policy, target_object, setting, **filters).rate(self.metric)
-
-    def total_rate(self, policy: str) -> float:
-        return self.counts(policy).rate(self.metric)
 
     def sub_setting_rates(self, policy: str, target_object: str, protocol: str) -> dict[str, float]:
         """Per-sub-setting rates plus their episode-weighted average."""
@@ -494,12 +477,6 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     if problems:
         raise EvalLogError(f"invalid episode log {path}:\n" + "\n".join(problems))
     return records
-
-
-def write_episode_log(records: Iterable[EpisodeRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_obj(), sort_keys=True) + "\n")
 
 
 def format_table(rows: list[tuple[str, ...]]) -> str:

@@ -17,18 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import MODE_FLIP, MODE_GRADUAL, MODES, VARIANTS
 from .selector import Selector
 
 if TYPE_CHECKING:
     from .tensor_store import Checkpoint
 
-MODE_GRADUAL = "gradual"
-MODE_FLIP = "flip"
-MODES = (MODE_GRADUAL, MODE_FLIP)
-
 DINO_PATTERNS = ("vision.dino.*",)
 SIGLIP_PATTERNS = ("vision.siglip.*",)
-VARIANTS = ("D_flip", "D_gradual", "DS_flip", "DS_gradual")
 # The boundary table is built whole, at about 500 bytes a stage: 100,000
 # stages take about 67 MB, so a mistyped step count cannot ask for gigabytes.
 MAX_STAGES = 100_000

@@ -19,10 +19,12 @@ time on top of what it computes.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import math
 import os
+import stat
 import struct
 import threading
 import weakref
@@ -438,10 +440,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     The bytes go to a new file beside ``path`` that is renamed over it once
     complete, so a failed write leaves an existing ``path`` as it was. The
     new file's name is short whatever ``path``'s length, so any name the
-    file system accepts can be saved to, and one it refuses fails first.
+    file system accepts can be saved to, and one it refuses, or a directory,
+    fails first. A symbolic link is replaced, not followed.
     """
     try:
-        os.lstat(path)
+        if stat.S_ISDIR(os.lstat(path).st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     except FileNotFoundError:
         pass  # a new file
     tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.tmp")

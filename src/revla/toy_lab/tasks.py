@@ -70,13 +70,6 @@ def _task_b_params(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return mixing, mask
 
 
-def input_mask(spec: TaskSpec) -> np.ndarray | None:
-    """Task B's fixed binary mask (half zeros); None for task A."""
-    if spec.task_id == TASK_B_ACTION:
-        return _task_b_params(spec.seed)[1].copy()
-    return None
-
-
 def targets(spec: TaskSpec, x: np.ndarray) -> np.ndarray:
     """Ground-truth outputs for a (batch, 16) input."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,8 +1,12 @@
-"""Synthetic episode records for tests: one cell's records from its success counts."""
+"""Synthetic episode records for tests: one cell's records from its success counts, and their log."""
 
 from __future__ import annotations
 
-from revla.ood_eval import PROTOCOL_VISUAL_MATCHING, EpisodeRecord
+import json
+from pathlib import Path
+from typing import Iterable
+
+from revla.ood_eval import LOG_FIELDS, PROTOCOL_VISUAL_MATCHING, EpisodeRecord
 
 
 def expand_cell(
@@ -44,3 +48,14 @@ def expand_cell(
             )
         )
     return records
+
+
+def to_json_obj(record: EpisodeRecord) -> dict:
+    """The object of ``record``'s log line: its fields under the log's names, in the log's order."""
+    return dict(zip(LOG_FIELDS, record))
+
+
+def write_episode_log(records: Iterable[EpisodeRecord], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(to_json_obj(record), sort_keys=True) + "\n")

@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from synthetic_episodes import expand_cell
+from synthetic_episodes import expand_cell, to_json_obj, write_episode_log
 
 import revla
 import revla.ood_eval as ood_eval
 import revla.toy_lab.experiment as experiment
 from revla.cli import main
-from revla.ood_eval import write_episode_log
 from revla.tensor_store import Checkpoint, load_checkpoint, save_checkpoint, serialize_checkpoint
 from revla.toy_lab.training import TrainingDiverged
 
@@ -213,6 +212,21 @@ def test_merge_to_a_name_too_long_fails_before_writing(checkpoint_pair, tmp_path
     too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
     assert capsys.readouterr().err == f"error: {too_long}: '{name}'\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_merge_to_a_directory_fails_before_writing(checkpoint_pair, tmp_path, monkeypatch, capsys):
+    _, _, cur_path, pre_path = checkpoint_pair
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "kept").write_bytes(b"kept")
+    before = sorted(tmp_path.iterdir())
+    code = main(["merge", str(cur_path), str(pre_path), "--alpha", "0.5", "--out", "out"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'out'\n"
+    assert ".tmp" not in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert [(p.name, p.read_bytes()) for p in (tmp_path / "out").iterdir()] == [("kept", b"kept")]
 
 
 def test_merge_incompatible_prints_full_report(tmp_path, capsys):
@@ -546,7 +560,7 @@ def test_eval_schema_violation_names_line(tmp_path, capsys):
 
 def test_eval_names_undecodable_and_too_deep_lines(tmp_path, capsys):
     records = expand_cell("OpenVLA", "pear", "single", episodes=3, lift_successes=1)
-    good = [json.dumps(record.to_json_obj()).encode() for record in records]
+    good = [json.dumps(to_json_obj(record)).encode() for record in records]
     log = tmp_path / "hostile.jsonl"
     # one line per terminator kind, so each bad line's number counts all three
     log.write_bytes(good[0] + b"\r\n" + b'{"policy": "\xff"}\r' + good[1] + b"\n"
@@ -699,9 +713,20 @@ def test_version_loads_neither_pickle_nor_the_fork_helper():
     code = (f"import sys; sys.path.insert(0, {root!r}); sys.argv = ['revla', '--version']\n"
             "import runpy\n"
             "try:\n    runpy.run_module('revla.cli', run_name='__main__')\n"
-            "finally:\n    print(sorted({'logging', 'pickle', 'revla.cores'} & set(sys.modules)))")
+            "finally:\n    print(sorted({'logging', 'pickle', 'revla.cores', 'revla.ood_eval', "
+            "'revla.schedule', 'revla.selector', 'dataclasses', 'decimal'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
     assert result.stdout.splitlines()[-1] == "[]", result.stderr
+
+
+def test_schedule_loads_neither_numpy_nor_ood_eval(tmp_path):
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    argv = ["schedule", "--total-steps", "10", "--stage-length", "5", "--out", str(tmp_path / "s.json")]
+    code = (f"import sys; sys.path.insert(0, {root!r}); from revla.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted({'numpy', 'revla.ood_eval'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
 
 
 def test_importing_the_cli_and_schedule_leaves_numpy_unloaded():

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synthetic_episodes import expand_cell
+from synthetic_episodes import expand_cell, to_json_obj, write_episode_log
 
 import revla
 import revla.ood_eval as ood_eval
@@ -41,7 +41,6 @@ from revla.ood_eval import (
     render_ood_table,
     render_partial_success,
     round_rate,
-    write_episode_log,
 )
 
 # per-cell lift success counts out of 36 episodes (single pear/mustard/tomato,
@@ -99,7 +98,7 @@ def test_openvla_row_reproduces_published_cells():
     assert table.rate("OpenVLA", "tomato_can", "distractor") == 0.222
     assert table.counts("OpenVLA", setting="single").rate("lift") == 0.222
     assert table.counts("OpenVLA", setting="distractor").rate("lift") == 0.102
-    assert table.total_rate("OpenVLA") == 0.162
+    assert table.counts("OpenVLA").rate(table.metric) == 0.162
 
 
 def test_grand_total_is_episode_weighted_not_cell_averaged():
@@ -117,12 +116,12 @@ def test_rt1x_row_with_explicit_episode_counts():
     assert table.rate("RT1-X", "tomato_can", "distractor") == 0.059
     assert table.counts("RT1-X", setting="single").rate("lift") == 0.113
     assert table.counts("RT1-X", setting="distractor").rate("lift") == 0.075
-    assert table.total_rate("RT1-X") == 0.094
+    assert table.counts("RT1-X").rate(table.metric) == 0.094
 
 
 def test_all_zero_policy():
     table = aggregate(ood_records("Octo", (0, 0, 0, 0, 0, 0)))
-    assert table.total_rate("Octo") == 0.0
+    assert table.counts("Octo").rate(table.metric) == 0.0
     for obj in OBJECTS:
         assert table.rate("Octo", obj, "single") == 0.0
 
@@ -267,7 +266,8 @@ def test_round_trip_through_rounded_rates():
         for obj in OBJECTS:
             delta = abs(again.rate("OpenVLA", obj, setting) - table.rate("OpenVLA", obj, setting))
             assert delta <= 5e-4
-    assert abs(again.total_rate("OpenVLA") - table.total_rate("OpenVLA")) <= 5e-4
+    again_total, total = (t.counts("OpenVLA").rate(t.metric) for t in (again, table))
+    assert abs(again_total - total) <= 5e-4
 
 
 # --- suite, records, and errors ---------------------------------------------------
@@ -668,7 +668,7 @@ def test_ranges_start_at_lines_and_are_never_below_the_minimum(tmp_path, monkeyp
 def test_a_pipe_parses_like_the_same_bytes_in_a_file(tmp_path, monkeypatch):
     # a pipe has no size to cut by, so it is read in one pass however many cores there are
     records = ood_records("OpenVLA", OPENVLA_LIFTS) + ood_records("ReVLA", OPENVLA_LIFTS)
-    good = [json.dumps(record.to_json_obj()).encode() for record in records]
+    good = [json.dumps(to_json_obj(record)).encode() for record in records]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", 1)
     for data in (b"\n".join(good) + b"\n",

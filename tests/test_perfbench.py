@@ -6,9 +6,8 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
-from synthetic_episodes import expand_cell
+from synthetic_episodes import expand_cell, write_episode_log
 
-from revla.ood_eval import write_episode_log
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

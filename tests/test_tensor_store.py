@@ -565,6 +565,28 @@ def test_save_to_a_name_of_250_bytes_leaves_no_temporary_file(tmp_path, stem):
         assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
 
+def test_save_to_a_directory_fails_before_creating_a_file(tmp_path, monkeypatch):
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "kept").write_bytes(b"kept")
+    ckpt = Checkpoint({"w": np.ones(3)})
+    opened = []
+    monkeypatch.setattr(tensor_store, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                        raising=False)
+    with pytest.raises(IsADirectoryError) as info:
+        save_checkpoint(ckpt, target)
+    assert (info.value.filename, info.value.filename2) == (str(target), None)
+    assert opened == []
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [(p.name, p.read_bytes()) for p in target.iterdir()] == [("kept", b"kept")]
+    # a symbolic link to a directory is replaced, not followed
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    save_checkpoint(ckpt, link)
+    assert not link.is_symlink() and load_checkpoint(link) == ckpt
+    assert [p.name for p in target.iterdir()] == ["kept"]
+
+
 _names = st.lists(
     st.from_regex(r"[a-c](\.[a-c0-9]{1,3}){0,2}", fullmatch=True),
     min_size=0, max_size=4, unique=True,

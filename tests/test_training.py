@@ -23,7 +23,6 @@ from revla.toy_lab.tasks import (
     TASK_A_DEPTH,
     TASK_B_ACTION,
     TaskSpec,
-    input_mask,
     make_dataset,
     sample_inputs,
     stream_rng,
@@ -158,15 +157,15 @@ def test_invalid_hyperparameters_rejected():
 
 
 def test_task_b_mask_zeroes_half_the_inputs():
-    mask = input_mask(TaskSpec(TASK_B_ACTION, 11))
-    assert mask.shape == (16,)
-    assert sorted(set(mask)) == [0.0, 1.0]
-    assert int(mask.sum()) == 8
-    # masked coordinates genuinely do not influence targets
+    # a coordinate is masked when moving it alone leaves every target bitwise unchanged
     spec = TaskSpec(TASK_B_ACTION, 11)
     x = np.random.default_rng(12).standard_normal((9, 16))
-    perturbed = x + (1.0 - mask) * 100.0
-    np.testing.assert_array_equal(targets(spec, x), targets(spec, perturbed))
+    base = targets(spec, x)
+    shifts = 100.0 * np.eye(16)
+    masked = [i for i in range(16) if np.array_equal(targets(spec, x + shifts[i]), base)]
+    assert len(masked) == 8
+    # masked coordinates genuinely do not influence targets, all moved at once either
+    np.testing.assert_array_equal(targets(spec, x + shifts[masked].sum(axis=0)), base)
 
 
 # --- ridge probe ---------------------------------------------------------------
