@@ -88,7 +88,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     import hashlib  # imported here to keep startup fast
     from concurrent.futures import ThreadPoolExecutor
 
-    from .tensor_store import _TAG_FOR_DTYPE
+    from .tensor_store import _TAG_FOR_DTYPE, printable
 
     ckpt = load_checkpoint(args.checkpoint)
     canonical = serialize_checkpoint(ckpt)
@@ -109,7 +109,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "byte_range": list(meta.byte_range),
             "sha256": digest,
         })
-        print(f"{meta.name}  {rows[-1]['dtype']}  {rows[-1]['shape']}  {digest[:16]}")
+        print(f"{printable(meta.name)}  {rows[-1]['dtype']}  {rows[-1]['shape']}  {digest[:16]}")
     file_digest = file_hash.result().hexdigest()
     print(f"tensors: {len(rows)}  canonical sha256: {file_digest[:16]}")
     payload = {

@@ -21,7 +21,7 @@ from . import MODE_FLIP, MODE_GRADUAL, MODES, VARIANTS
 from .selector import Selector
 
 if TYPE_CHECKING:
-    from .tensor_store import Checkpoint
+    import numpy as np
 
 DINO_PATTERNS = ("vision.dino.*",)
 SIGLIP_PATTERNS = ("vision.siglip.*",)
@@ -105,12 +105,6 @@ def stage_boundaries(schedule: Schedule) -> list[tuple[int, float]]:
     return [(i * schedule.stage_length, (i + 1) / k) for i in range(k)]
 
 
-def _patterns_for_variant(variant_name: str) -> tuple[str, ...]:
-    if variant_name.startswith("DS_"):
-        return DINO_PATTERNS + SIGLIP_PATTERNS
-    return DINO_PATTERNS
-
-
 @dataclass(frozen=True)
 class MergePlan:
     """A schedule bound to the parameter groups a named variant reverts.
@@ -133,17 +127,20 @@ def plan_for_variant(variant_name: str, total_steps: int, stage_length: int | No
         schedule = Schedule.flip(total_steps)
     else:
         schedule = Schedule.gradual(total_steps, stage_length)
-    return MergePlan(schedule, Selector(_patterns_for_variant(variant_name)), variant_name)
+    patterns = DINO_PATTERNS + SIGLIP_PATTERNS if variant_name.startswith("DS_") else DINO_PATTERNS
+    return MergePlan(schedule, Selector(patterns), variant_name)
 
 
-def apply_stage(current: Checkpoint, pretrained: Checkpoint, plan: MergePlan, step: int) -> Checkpoint:
-    """Merge at a stage boundary of ``plan``.
+def apply_stage(
+    pairs: list[tuple[str, np.ndarray, np.ndarray]], plan: MergePlan, step: int
+) -> dict[str, np.ndarray]:
+    """The tensors ``plan`` selects, by name, blended at its stage boundary ``step``.
 
-    ``current`` must be the original fine-tuned checkpoint: the backbone is
-    frozen between boundaries, so every stage merges against it rather than
-    against an earlier stage's output.
+    ``pairs`` are ``revla.merge.selected_pairs`` of the original (fine-tuned, pretrained)
+    checkpoints under ``plan.selector``: the backbone is frozen between boundaries, so
+    every stage blends them rather than an earlier stage's output.
     """
-    from .merge import MergeSpec, linear_merge  # loads numpy, which the rest of this module never needs
+    from .merge import blend  # loads numpy, which the rest of this module never needs
 
     schedule = plan.schedule
     if not (0 <= step < schedule.total_steps and step % schedule.stage_length == 0):
@@ -151,4 +148,5 @@ def apply_stage(current: Checkpoint, pretrained: Checkpoint, plan: MergePlan, st
             f"step {step} is not a stage boundary of the {schedule.mode} "
             f"schedule (boundaries every {schedule.stage_length} steps)"
         )
-    return linear_merge(current, pretrained, MergeSpec(alpha_at(schedule, step), plan.selector))
+    alpha = alpha_at(schedule, step)
+    return {name: blend(cur, pre, alpha) for name, cur, pre in pairs}

@@ -63,10 +63,7 @@ class TensorMeta:
 
 
 def _expected_nbytes(dtype: np.dtype, shape: tuple[int, ...]) -> int:
-    count = 1
-    for dim in shape:
-        count *= dim
-    return count * dtype.itemsize
+    return math.prod(shape) * dtype.itemsize
 
 
 class _Source:
@@ -223,36 +220,29 @@ def select(source: Iterable[str], selector: Selector) -> list[str]:
     return [name for name in sorted(source) if selector.matches(name)]
 
 
+def printable(name: str) -> str:
+    """``name`` as it is printed on one line: itself if printable, else its ``repr``."""
+    return name if name.isprintable() else repr(name)
+
+
 def validate_compat(a: Checkpoint, b: Checkpoint, names: Iterable[str] | None = None) -> list[str]:
     """One line per difference in (name, shape, dtype), optionally restricted to ``names``.
 
     Names missing from ``a`` come first, then those missing from ``b``, then
     shape and dtype mismatches; an empty list means the two are compatible.
+    A name is shown as ``printable`` gives it, so no name can break a line.
     """
-    if names is None:
-        scope = sorted(set(a.names()) | set(b.names()))
-    else:
-        scope = sorted(set(names))
-    missing_a: list[str] = []
-    missing_b: list[str] = []
-    shape_mm: list[str] = []
-    dtype_mm: list[str] = []
-    for name in scope:
-        in_a, in_b = name in a, name in b
-        if not in_a:
-            missing_a.append(f"missing in first checkpoint: {name}")
-        if not in_b:
-            missing_b.append(f"missing in second checkpoint: {name}")
-        if not (in_a and in_b):
-            continue
-        ta, tb = a._tensors[name], b._tensors[name]  # shape and dtype only: nothing is read
-        if ta.shape != tb.shape:
-            shape_mm.append(f"shape mismatch for {name}: {list(ta.shape)} vs {list(tb.shape)}")
-        if ta.dtype != tb.dtype:
-            dtype_mm.append(
-                f"dtype mismatch for {name}: {_TAG_FOR_DTYPE[ta.dtype]} vs {_TAG_FOR_DTYPE[tb.dtype]}"
-            )
-    return missing_a + missing_b + shape_mm + dtype_mm
+    scope = sorted(set(a.names()) | set(b.names()) if names is None else set(names))
+    # shape and dtype only: nothing is read
+    both = [(printable(n), a._tensors[n], b._tensors[n]) for n in scope if n in a and n in b]
+    return (
+        [f"missing in first checkpoint: {printable(n)}" for n in scope if n not in a]
+        + [f"missing in second checkpoint: {printable(n)}" for n in scope if n not in b]
+        + [f"shape mismatch for {n}: {list(ta.shape)} vs {list(tb.shape)}"
+           for n, ta, tb in both if ta.shape != tb.shape]
+        + [f"dtype mismatch for {n}: {_TAG_FOR_DTYPE[ta.dtype]} vs {_TAG_FOR_DTYPE[tb.dtype]}"
+           for n, ta, tb in both if ta.dtype != tb.dtype]
+    )
 
 
 def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[str, str]]:

@@ -26,10 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from ..cores import map_on_cores
+from ..merge import selected_pairs
 from ..ood_eval import format_table
 from ..schedule import MergePlan, apply_stage, stage_boundaries
-from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint, select
-from .model import ENCODER_PATTERNS, ToyModel, forward
+from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint
+from .model import ENCODER_NAMES, ENCODER_PATTERNS, ToyModel, forward
 from .tasks import TASK_A_DEPTH, TASK_B_ACTION, STREAM_EVAL, TaskSpec, make_dataset, stream_rng
 from .training import BATCH_SIZE, PROBE_COUNT, RIDGE_LAMBDA, probe_linear, train
 
@@ -97,10 +98,6 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _encoders_equal(a: Checkpoint, b: Checkpoint) -> bool:
-    return all(same_bits(a[n], b[n]) for n in select(a, Selector(ENCODER_PATTERNS)))
-
-
 @dataclass(frozen=True)
 class _SharedPhases:
     """Phases 1 and 2, which depend on the config alone and not on the plan."""
@@ -141,11 +138,10 @@ def _reverse(
     reversal_losses: list[float] = []
     stage_length = plan.schedule.stage_length
     boundaries = stage_boundaries(plan.schedule)
-    reverted = select(shared.finetuned, plan.selector)
+    pairs = list(selected_pairs(shared.finetuned, shared.pretrained, plan.selector))
     for step, _ in boundaries:
-        merged = apply_stage(shared.finetuned, shared.pretrained, plan, step)
-        # read-only until train's copy, which checks each parameter's shape and finiteness
-        model.params.update((name, merged[name]) for name in reverted)
+        # read-only until train's copy
+        model.params.update(apply_stage(pairs, plan, step))
         model, stage_losses = train(
             model, task_b, stage_length, LEARNING_RATE, encoder_freeze, rng=reversal_rng
         )
@@ -166,7 +162,7 @@ def _reverse(
         probe_err_after_finetune=shared.probe_err_after_finetune,
         probe_err_after_reversal=probe_rev,
         taskB_final_err=task_b_err,
-        encoder_bitwise_reverted=_encoders_equal(final, shared.pretrained),
+        encoder_bitwise_reverted=all(same_bits(final[n], shared.pretrained[n]) for n in ENCODER_NAMES),
         stage_alphas=boundaries,
         loss_curves={"reversal": reversal_losses},
         config=config.to_dict(),

@@ -67,7 +67,12 @@ class ToyModel:
         return cls(params)
 
     def copy(self) -> "ToyModel":
-        return ToyModel(self.params)
+        # Not checked again: parameters are checked on the way in, a training step with a finite loss
+        # keeps them finite, and a reversal stage's blend of two checked models keeps their shapes and
+        # dtype and lies, up to rounding, between finite values.
+        twin = ToyModel.__new__(ToyModel)
+        twin.params = {name: arr.copy() for name, arr in self.params.items()}
+        return twin
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """Encoder output tanh(W2 tanh(W1 x + b1) + b2) for a (batch, 16) input."""

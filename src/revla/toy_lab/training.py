@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor_store import Selector, select
+from ..tensor_store import Selector
 from .model import ENCODER_NAMES, ToyModel, _predict_and_grad
 from .tasks import (
     STREAM_PROBE_HELDOUT,
@@ -62,7 +62,7 @@ def train(
         rng = stream_rng(task, STREAM_TRAIN)
     out = model.copy()
     head = task.head
-    frozen = set(select(out.params, freeze)) if freeze is not None else set()
+    frozen = set(filter(freeze.matches, out.params)) if freeze is not None else set()
     # the other head's gradient is zero, so only these parameters ever move
     trained = frozenset((f"head_{head}.weight", f"head_{head}.bias", *ENCODER_NAMES)) - frozen
     losses: list[float] = []

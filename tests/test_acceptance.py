@@ -22,7 +22,7 @@ from test_toy_model import finite_difference_grads, random_model
 from synthetic_episodes import expand_cell
 
 import revla
-from revla.merge import MergeSpec, linear_merge
+from revla.merge import MergeSpec, linear_merge, selected_pairs
 from revla.ood_eval import (
     aggregate,
     partial_success_summary,
@@ -107,8 +107,9 @@ def test_criterion_2_schedule_exactness():
         rng = np.random.default_rng(200)
         cur = Checkpoint({"vision.dino.w": rng.standard_normal(64)})
         pre = Checkpoint({"vision.dino.w": rng.standard_normal(64)})
-        flip_out = apply_stage(cur, pre, plan_for_variant("D_flip", 2_000), 0)
-        grad_out = apply_stage(cur, pre, plan_for_variant("D_gradual", 2_000, 2_000), 0)
+        flip_plan, grad_plan = plan_for_variant("D_flip", 2_000), plan_for_variant("D_gradual", 2_000, 2_000)
+        flip_out = apply_stage(list(selected_pairs(cur, pre, flip_plan.selector)), flip_plan, 0)
+        grad_out = apply_stage(list(selected_pairs(cur, pre, grad_plan.selector)), grad_plan, 0)
         assert flip_out["vision.dino.w"].tobytes() == grad_out["vision.dino.w"].tobytes()
 
 

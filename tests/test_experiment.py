@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import os
+import sys
+from collections import Counter
 
 import pytest
 
 import revla.toy_lab.experiment as experiment
+from revla import tensor_store
 from revla.merge import MergeSpec, linear_merge
 from revla.schedule import plan_for_variant
 from revla.tensor_store import load_checkpoint, same_bits, select
 from revla.toy_lab.experiment import LabConfig, run_reversal_experiment
+from revla.toy_lab.model import ToyModel
 
 # deliberately small so each case runs in well under a second; the
 # full-scale configuration is exercised by the acceptance suite
@@ -200,3 +204,31 @@ def test_forked_and_sequential_runs_give_the_same_reports(monkeypatch, two_cores
     sequential, sequential_curves = run_reversal_experiment(plans, FAST)
     assert [r.to_json() for r in forked] == [r.to_json() for r in sequential]
     assert forked_curves == sequential_curves
+
+
+def _plan_fact_calls(stage_length: int) -> Counter:
+    """Calls to ``select``, ``validate_compat`` and ``ToyModel.__init__`` in a one-plan run of 1,000 reversal steps."""
+    calls: Counter = Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("select", "validate_compat"):
+            func = getattr(tensor_store, name)
+            for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "revla" and m]:
+                if vars(module).get(name) is func:  # every module that imported it
+                    patch.setattr(module, name, counted(name, func))
+        patch.setattr(ToyModel, "__init__", counted("ToyModel.__init__", ToyModel.__init__))
+        plan = plan_for_variant("D_gradual", 1000, stage_length)
+        run_reversal_experiment([plan], LabConfig(seed=7, pretrain_steps=10, finetune_steps=10))
+    return calls
+
+
+def test_a_plan_selects_checks_and_builds_its_model_once_whatever_its_stage_count():
+    ten_stages = _plan_fact_calls(100)
+    assert set(ten_stages) == {"select", "validate_compat", "ToyModel.__init__"}
+    assert _plan_fact_calls(1) == ten_stages

@@ -233,3 +233,31 @@ def test_lab_of_a_hostile_config(workspace, changes, seed):
         _write(out / "previous.txt", PREVIOUS)
         flags = [] if seed is None else ["--seed", seed]
         run(["lab", "--config", str(path), *flags, "--out", str(out)], work, out)
+
+
+# a name that would print as a diagnostic line of its own
+FORGING_NAME = "x\nshape mismatch for y: [1] vs [2]"
+
+
+def test_a_tensor_name_cannot_forge_a_merge_diagnostic(tmp_path, capsys):
+    current, pretrained = tmp_path / "current.st", tmp_path / "pretrained.st"
+    save_checkpoint(Checkpoint({FORGING_NAME: np.zeros(3), "vision.ä": np.zeros(2)}), current)
+    save_checkpoint(Checkpoint({FORGING_NAME: np.zeros(4)}), pretrained)
+    assert main(["merge", str(current), str(pretrained), "--alpha", "0.5", "--out", str(tmp_path / "out.st")]) == 1
+    assert capsys.readouterr().err == (
+        "error: checkpoints are not mergeable:\n"
+        "missing in second checkpoint: vision.ä\n"
+        "shape mismatch for 'x\\nshape mismatch for y: [1] vs [2]': [3] vs [4]\n"
+    )
+
+
+def test_a_tensor_name_cannot_split_an_inspect_row(tmp_path, capsys):
+    path, out = tmp_path / "c.st", tmp_path / "inspect.json"
+    save_checkpoint(Checkpoint({FORGING_NAME: np.zeros(1), "vision.ä": np.zeros(2)}), path)
+    assert main(["inspect", str(path), "--out", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3
+    assert rows[0].startswith("vision.ä  f64  [2]  ")
+    assert rows[1].startswith("'x\\nshape mismatch for y: [1] vs [2]'  f64  [1]  ")
+    assert [row["name"] for row in json.loads(out.read_text(encoding="utf-8"))["tensors"]] == [
+        "vision.ä", FORGING_NAME]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from revla import merge
+from revla.merge import selected_pairs
 from revla.schedule import (
     Schedule,
     ScheduleError,
@@ -113,11 +114,15 @@ def _scalar_ckpts() -> tuple[Checkpoint, Checkpoint]:
     return cur, pre
 
 
+def _pairs(cur: Checkpoint, pre: Checkpoint, plan) -> list:
+    return list(selected_pairs(cur, pre, plan.selector))
+
+
 def test_three_stage_scalar_reversal():
-    cur, pre = _scalar_ckpts()
     plan = plan_for_variant("D_gradual", 6, 2)
+    pairs = _pairs(*_scalar_ckpts(), plan)
     values = [
-        float(apply_stage(cur, pre, plan, step)["vision.dino.w"][0])
+        float(apply_stage(pairs, plan, step)["vision.dino.w"][0])
         for step, _ in stage_boundaries(plan.schedule)
     ]
     assert values == [3.0, 6.0, 9.0]
@@ -126,23 +131,23 @@ def test_three_stage_scalar_reversal():
 def test_final_boundary_restores_pretrained_bitwise():
     cur, pre = _scalar_ckpts()
     plan = plan_for_variant("D_gradual", 6, 2)
-    out = apply_stage(cur, pre, plan, 4)
+    out = apply_stage(_pairs(cur, pre, plan), plan, 4)
     assert out["vision.dino.w"].tobytes() == pre["vision.dino.w"].tobytes()
-    assert out["head.w"].tobytes() == cur["head.w"].tobytes()
+    assert list(out) == ["vision.dino.w"]  # an unselected tensor stays the caller's own
 
 
 def test_flip_restores_pretrained_at_step_zero():
     cur, pre = _scalar_ckpts()
     plan = plan_for_variant("D_flip", 6)
-    out = apply_stage(cur, pre, plan, 0)
+    out = apply_stage(_pairs(cur, pre, plan), plan, 0)
     assert out["vision.dino.w"].tobytes() == pre["vision.dino.w"].tobytes()
 
 
 def test_non_boundary_step_rejected():
-    cur, pre = _scalar_ckpts()
     plan = plan_for_variant("D_gradual", 6, 2)
+    pairs = _pairs(*_scalar_ckpts(), plan)
     with pytest.raises(ScheduleError, match="not a stage boundary"):
-        apply_stage(cur, pre, plan, 3)
+        apply_stage(pairs, plan, 3)
 
 
 @pytest.mark.parametrize("total,stage", [
@@ -150,15 +155,16 @@ def test_non_boundary_step_rejected():
 ])
 def test_stage_alpha_equals_the_boundary_table_bitwise(monkeypatch, total, stage):
     alphas = []
-    monkeypatch.setattr(merge, "linear_merge", lambda cur, pre, spec: alphas.append(spec.alpha))
+    monkeypatch.setattr(merge, "blend", lambda cur, pre, alpha: alphas.append(alpha))
     plan = plan_for_variant("D_gradual", total, stage)
     boundaries = stage_boundaries(plan.schedule)
+    pairs = [("vision.dino.w", None, None)]
     for step, _ in boundaries:
-        apply_stage(None, None, plan, step)
+        apply_stage(pairs, plan, step)
     assert [alpha.hex() for alpha in alphas] == [alpha.hex() for _, alpha in boundaries]
     for step in [-stage, -1, total, total + stage] + ([stage + 1] if stage > 1 else []):
         with pytest.raises(ScheduleError) as excinfo:
-            apply_stage(None, None, plan, step)
+            apply_stage(pairs, plan, step)
         assert str(excinfo.value) == (
             f"step {step} is not a stage boundary of the gradual schedule (boundaries every {stage} steps)")
 
@@ -168,9 +174,10 @@ def test_monotone_reversal_toward_pretrained():
     cur = Checkpoint({"vision.dino.w": rng.integers(-8, 8, 32).astype(np.float64)})
     pre = Checkpoint({"vision.dino.w": rng.integers(-8, 8, 32).astype(np.float64)})
     plan = plan_for_variant("D_gradual", 8, 2)  # dyadic alphas: exact arithmetic
+    pairs = _pairs(cur, pre, plan)
     gaps = []
     for step, _ in stage_boundaries(plan.schedule):
-        out = apply_stage(cur, pre, plan, step)
+        out = apply_stage(pairs, plan, step)
         gaps.append(np.abs(out["vision.dino.w"] - pre["vision.dino.w"]))
     for earlier, later in zip(gaps, gaps[1:]):
         assert np.all(later <= earlier)
@@ -179,9 +186,10 @@ def test_monotone_reversal_toward_pretrained():
 
 def test_flip_equals_single_stage_gradual_outputs():
     cur, pre = _scalar_ckpts()
-    flip_out = apply_stage(cur, pre, plan_for_variant("D_flip", 500), 0)
-    gradual_out = apply_stage(cur, pre, plan_for_variant("D_gradual", 500, 500), 0)
-    assert flip_out == gradual_out
+    flip, gradual = plan_for_variant("D_flip", 500), plan_for_variant("D_gradual", 500, 500)
+    flip_out = apply_stage(_pairs(cur, pre, flip), flip, 0)
+    gradual_out = apply_stage(_pairs(cur, pre, gradual), gradual, 0)
+    assert {n: a.tobytes() for n, a in flip_out.items()} == {n: a.tobytes() for n, a in gradual_out.items()}
 
 
 def test_variant_selectors():

@@ -72,7 +72,11 @@ def test_frozen_encoder_is_bitwise_unchanged_while_head_trains():
 def test_training_does_not_mutate_input_model():
     model = ToyModel.initialize(3)
     before = params_bytes(model)
-    train(model, TaskSpec(TASK_A_DEPTH, 3), 25, 1e-2)
+    trained, _ = train(model, TaskSpec(TASK_A_DEPTH, 3), 25, 1e-2)
+    assert params_bytes(model) == before
+    # the returned arrays share no memory with the input's, trained or not (head b is not)
+    for arr in trained.params.values():
+        arr[...] = 7.0
     assert params_bytes(model) == before
 
 
