@@ -88,7 +88,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     import hashlib  # imported here to keep startup fast
     from concurrent.futures import ThreadPoolExecutor
 
-    from .tensor_store import _TAG_FOR_DTYPE, printable
+    from .tensor_store import printable
 
     ckpt = load_checkpoint(args.checkpoint)
     canonical = serialize_checkpoint(ckpt)
@@ -104,7 +104,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         digest = hashlib.sha256(data[start:end]).hexdigest()
         rows.append({
             "name": meta.name,
-            "dtype": _TAG_FOR_DTYPE[meta.dtype].lower(),
+            "dtype": meta.dtype.lower(),
             "shape": list(meta.shape),
             "byte_range": list(meta.byte_range),
             "sha256": digest,
@@ -193,13 +193,14 @@ def cmd_lab(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .ood_eval import EvalLogError, relative_improvement
+    from .ood_eval import EvalLogError, collector_off, relative_improvement
 
-    records = []
-    for log_path in args.logs:
-        records.extend(parse_episode_log(log_path))
-    table = aggregate(records, args.metric)
-    del records  # all that follows reads the table
+    with collector_off():
+        records = []
+        for log_path in args.logs:
+            records.extend(parse_episode_log(log_path))
+        table = aggregate(records, args.metric)
+        del records  # all that follows reads the table
     summary = partial_success_summary(table)
     if args.baseline and args.baseline not in summary:
         raise EvalLogError(f"baseline policy {args.baseline!r} not present in the logs")

@@ -56,7 +56,7 @@ def _run_in_worker(fn: Callable[[T], R], items: Sequence[T], write_fd: int) -> N
         except BaseException as exc:
             outcome = (False, exc)
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
@@ -68,7 +68,9 @@ def map_on_cores(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     Forked workers run every slice but the first, which the calling process
     runs itself. A worker's exception is re-raised here as it was raised
     there. If the caller's slice fails, the workers are killed. Every worker
-    is reaped before this returns or raises.
+    is reaped before this returns or raises. A worker's result is unpickled
+    as it is read, so neither side holds it whole in pickled form; one that
+    is empty or cut short is an error.
     """
     k = min(len(items), usable_cores())
     if k < 2:
@@ -95,12 +97,15 @@ def map_on_cores(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         results = [fn(item) for item in slices[0]]
         for pid, pipe in list(workers.items()):
             with pipe:
-                payload = pipe.read()
+                try:
+                    outcome = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # empty, or cut short
+                    outcome = None
             _, status = os.waitpid(pid, 0)
             del workers[pid]
-            if not payload:
+            if outcome is None:
                 raise RuntimeError(f"worker {pid} sent no result (wait status {status})")
-            ok, value = pickle.loads(payload)
+            ok, value = outcome
             if not ok:
                 raise value
             results.extend(value)

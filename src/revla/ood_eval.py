@@ -21,12 +21,13 @@ import json
 import os
 import stat
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import METRIC_GRASP, METRIC_LIFT, METRICS
 
@@ -434,6 +435,22 @@ def _parse_lines(lines: Iterable[str]) -> tuple[list[tuple], list[tuple[int, str
     return rows, problems, lineno
 
 
+@contextmanager
+def collector_off() -> Iterator[None]:
+    """Keep the cyclic garbage collector off inside, then restore its state.
+
+    Episode records hold no reference cycles, so collections over them, while
+    they are built or tallied, only cost time.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     """Read a newline-delimited JSON episode log, naming every bad line.
 
@@ -444,9 +461,7 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     A line that is not UTF-8, or is nested deeper than the recursion
     limit, is a bad line like any other.
     """
-    collecting = gc.isenabled()
-    gc.disable()  # records hold no cycles; collections over the growing lists only cost time
-    try:
+    with collector_off():
         with open(path, "rb") as raw:
             fd = raw.fileno()
             info = os.fstat(fd)
@@ -471,9 +486,6 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
             for i, row in enumerate(rows):
                 rows[i] = new_record(EpisodeRecord, row)
             records += rows
-    finally:
-        if collecting:
-            gc.enable()
     if problems:
         raise EvalLogError(f"invalid episode log {path}:\n" + "\n".join(problems))
     return records

@@ -14,7 +14,9 @@ checkpoint's contents.
 
 A loaded checkpoint keeps its file open and reads each tensor from it when
 the tensor is used, so a merge or a save holds about one input tensor at a
-time on top of what it computes.
+time on top of what it computes. Headers describe each tensor by its file
+tag (``F32``, ``F64``), so this module imports numpy only where an array is
+built or compared: a command that reads headers and bytes alone never loads it.
 """
 
 from __future__ import annotations
@@ -26,26 +28,38 @@ import math
 import os
 import stat
 import struct
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .cores import ByteRange
 from .selector import Selector
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _HEADER_LEN_SIZE = 8
 _MAX_HEADER_LEN = 100_000_000  # the reference loader's limit
 _METADATA_KEY = "__metadata__"
-_DTYPE_FOR_TAG = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
-_TAG_FOR_DTYPE = {np.dtype(np.float32): "F32", np.dtype(np.float64): "F64"}
-# numpy builds no array of more dimensions (32 before numpy 2), nor one whose
-# nonzero dimensions and item size multiply past its index type
-_MAX_NDIM = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
-_MAX_INTP = int(np.iinfo(np.intp).max)
+# the stored tags, each a little-endian IEEE float
+_DTYPE_FOR_TAG = {"F32": "<f4", "F64": "<f8"}
+_ITEMSIZE = {"F32": 4, "F64": 8}
+_TAG_FOR_CHAR = {"f": "F32", "d": "F64"}  # numpy's type codes of float32 and float64
+# numpy builds no array whose nonzero dimensions and item size multiply past
+# its index type, intp, which is Py_ssize_t
+_MAX_INTP = sys.maxsize
+
+
+def _too_many_dims(ndim: int) -> bool:
+    """Whether numpy builds no array of ``ndim`` dimensions: more than 64, or 32 before numpy 2."""
+    if ndim <= 32:
+        return False  # so numpy is imported only for a shape that needs its version
+    import numpy as np
+
+    return ndim > (64 if int(np.__version__.split(".")[0]) >= 2 else 32)
 
 
 class CheckpointFormatError(ValueError):
@@ -54,16 +68,21 @@ class CheckpointFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TensorMeta:
-    """Header entry for one tensor: name, dtype, shape, and data location."""
+    """Header entry for one tensor: name, dtype tag (``F32``, ``F64``), shape, and data location."""
 
     name: str
-    dtype: np.dtype
+    dtype: str
     shape: tuple[int, ...]
     byte_range: tuple[int, int]
 
 
-def _expected_nbytes(dtype: np.dtype, shape: tuple[int, ...]) -> int:
-    return math.prod(shape) * dtype.itemsize
+def _expected_nbytes(tag: str, shape: tuple[int, ...]) -> int:
+    return math.prod(shape) * _ITEMSIZE[tag]
+
+
+def _tag(tensor: _Stored | np.ndarray) -> str:
+    """The file tag of a checkpoint's tensor; an array's is native-order f32 or f64."""
+    return tensor.tag if isinstance(tensor, _Stored) else _TAG_FOR_CHAR[tensor.dtype.char]
 
 
 class _Source:
@@ -104,14 +123,20 @@ class _Stored(NamedTuple):
     source: _Source
     offset: int
     shape: tuple[int, ...]
-    dtype: np.dtype
+    tag: str
 
     @property
     def nbytes(self) -> int:
-        return _expected_nbytes(self.dtype, self.shape)
+        return _expected_nbytes(self.tag, self.shape)
+
+    def raw(self) -> bytes:
+        """The tensor's little-endian bytes, as they lie in the file."""
+        return self.source.read(self.offset, self.nbytes)
 
     def read(self) -> np.ndarray:
-        return np.ndarray(self.shape, self.dtype, self.source.read(self.offset, self.nbytes))
+        import numpy as np
+
+        return np.ndarray(self.shape, _DTYPE_FOR_TAG[self.tag], self.raw())
 
 
 class Checkpoint:
@@ -140,8 +165,10 @@ class Checkpoint:
             if isinstance(arr, _Stored):
                 frozen[name] = arr
                 continue
+            import numpy as np
+
             arr = np.asarray(arr)
-            if arr.dtype not in _TAG_FOR_DTYPE:
+            if not (arr.dtype.isnative and arr.dtype.char in _TAG_FOR_CHAR):
                 raise CheckpointFormatError(
                     f"tensor {name!r}: unsupported dtype {arr.dtype}; "
                     "only f32 and f64 are stored"
@@ -182,7 +209,7 @@ class Checkpoint:
         offset = 0
         for name, arr in self._tensors.items():
             end = offset + arr.nbytes
-            out.append(TensorMeta(name, arr.dtype, arr.shape, (offset, end)))
+            out.append(TensorMeta(name, _tag(arr), arr.shape, (offset, end)))
             offset = end
         return out
 
@@ -209,6 +236,8 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     Comparing same-width unsigned-integer views tells ``-0.0`` from ``0.0``
     and finds a NaN equal to the same NaN, as a byte comparison does.
     """
+    import numpy as np
+
     if a.dtype != b.dtype or a.shape != b.shape:
         return False
     bits = np.dtype(f"u{a.dtype.itemsize}")
@@ -240,8 +269,8 @@ def validate_compat(a: Checkpoint, b: Checkpoint, names: Iterable[str] | None = 
         + [f"missing in second checkpoint: {printable(n)}" for n in scope if n not in b]
         + [f"shape mismatch for {n}: {list(ta.shape)} vs {list(tb.shape)}"
            for n, ta, tb in both if ta.shape != tb.shape]
-        + [f"dtype mismatch for {n}: {_TAG_FOR_DTYPE[ta.dtype]} vs {_TAG_FOR_DTYPE[tb.dtype]}"
-           for n, ta, tb in both if ta.dtype != tb.dtype]
+        + [f"dtype mismatch for {n}: {_tag(ta)} vs {_tag(tb)}"
+           for n, ta, tb in both if _tag(ta) != _tag(tb)]
     )
 
 
@@ -281,14 +310,13 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
             offsets = entry["data_offsets"]
         except KeyError as exc:
             raise CheckpointFormatError(f"tensor {name!r}: missing field {exc}") from exc
-        if not isinstance(tag, str) or tag not in _DTYPE_FOR_TAG:
+        if not isinstance(tag, str) or tag not in _ITEMSIZE:
             raise CheckpointFormatError(f"tensor {name!r}: unknown dtype {tag!r}")
-        dtype = _DTYPE_FOR_TAG[tag]
         if (
             not isinstance(shape, list)
             or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)
-            or len(shape) > _MAX_NDIM
-            or math.prod(d for d in shape if d) * dtype.itemsize > _MAX_INTP
+            or _too_many_dims(len(shape))
+            or math.prod(d for d in shape if d) * _ITEMSIZE[tag] > _MAX_INTP
         ):
             raise CheckpointFormatError(f"tensor {name!r}: invalid shape {shape!r}")
         if (
@@ -307,12 +335,12 @@ def _parse_header(blob: bytes, data_len: int) -> tuple[list[TensorMeta], dict[st
                 f"tensor {name!r}: out-of-bounds data "
                 f"(range [{start}, {end}) exceeds data section of {data_len} bytes)"
             )
-        if end - start != _expected_nbytes(dtype, tuple(shape)):
+        if end - start != _expected_nbytes(tag, tuple(shape)):
             raise CheckpointFormatError(
                 f"tensor {name!r}: byte range [{start}, {end}) does not match "
                 f"shape {shape} of dtype {tag}"
             )
-        metas.append(TensorMeta(name, dtype, tuple(shape), (start, end)))
+        metas.append(TensorMeta(name, tag, tuple(shape), (start, end)))
 
     # Header keys may come in any order; in offset order the ranges must
     # tile the data section exactly.
@@ -372,22 +400,29 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes | memoryview]:
-    """The canonical file in order: length-prefixed padded header, then each tensor's buffer."""
+    """The canonical file in order: length-prefixed padded header, then each tensor's buffer.
+
+    A tensor still in its file is its bytes there, read without building an array.
+    """
     header: dict[str, object] = {}
     if ckpt.metadata:
         header[_METADATA_KEY] = ckpt.metadata
     for meta in ckpt.metas():
         header[meta.name] = {
-            "dtype": _TAG_FOR_DTYPE[meta.dtype],
+            "dtype": meta.dtype,
             "shape": list(meta.shape),
             "data_offsets": list(meta.byte_range),
         }
     blob = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     blob += b" " * (-len(blob) % 8)
     yield struct.pack("<Q", len(blob)) + blob
-    for name in ckpt.names():
-        arr = ckpt[name]
-        yield np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).data
+    for tensor in ckpt._tensors.values():
+        if isinstance(tensor, _Stored):
+            yield tensor.raw()
+        else:
+            import numpy as np
+
+            yield np.ascontiguousarray(tensor, dtype=tensor.dtype.newbyteorder("<")).data
 
 
 def _whole_file(ckpt: Checkpoint, head: bytes) -> bytes | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -78,6 +79,28 @@ def test_inspect_of_a_shape_numpy_cannot_build_names_the_tensor(tmp_path, capsys
     assert main(["inspect", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: tensor 'a': invalid shape {shape}\n"
     assert not out.exists()
+
+
+def test_inspect_of_33_to_64_dims_is_refused_only_before_numpy_2(tmp_path, capsys):
+    shape = [1] * 40
+    header = json.dumps({"a": {"dtype": "F64", "shape": shape, "data_offsets": [0, 8]}}).encode()
+    path = tmp_path / "deep.st"
+    path.write_bytes(struct.pack("<Q", len(header)) + header + struct.pack("<d", 2.5))
+    out = tmp_path / "o.json"
+    code = main(["inspect", str(path), "--out", str(out)])
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert np.ndarray(shape, "<f8", bytes(8)).ndim == 40
+        assert code == 0
+        assert json.loads(out.read_text())["tensors"][0]["shape"] == shape
+        assert load_checkpoint(path)["a"].item() == 2.5
+    else:
+        assert code == 1
+        assert capsys.readouterr().err == f"error: tensor 'a': invalid shape {shape}\n"
+
+
+def test_the_index_limit_is_numpys_intp():
+    # the loader bounds a tensor's size by sys.maxsize, without importing numpy
+    assert sys.maxsize == np.iinfo(np.intp).max
 
 
 def test_inspect_of_a_non_canonical_file_reports_the_canonical_digest(checkpoint_pair, tmp_path):
@@ -558,6 +581,27 @@ def test_eval_schema_violation_names_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [False, True], ids=["success", "bad-log"])
+def test_eval_keeps_the_collector_off_while_the_records_live(tmp_path, monkeypatch, capsys, bad):
+    log = tmp_path / "episodes.jsonl"
+    write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=2, lift_successes=1), log)
+    if bad:
+        with log.open("a") as fh:
+            fh.write('{"policy": "p"}\n')
+    collecting = []
+
+    def aggregate(records, metric):
+        collecting.append(gc.isenabled())
+        return ood_eval.aggregate(records, metric)
+
+    monkeypatch.setattr("revla.cli.aggregate", aggregate)
+    assert gc.isenabled()
+    assert main(["eval", str(log), "--out", str(tmp_path / "r.json")]) == (1 if bad else 0)
+    capsys.readouterr()
+    assert collecting == ([] if bad else [False])
+    assert gc.isenabled()
+
+
 def test_eval_names_undecodable_and_too_deep_lines(tmp_path, capsys):
     records = expand_cell("OpenVLA", "pear", "single", episodes=3, lift_successes=1)
     good = [json.dumps(to_json_obj(record)).encode() for record in records]
@@ -696,10 +740,13 @@ finally:
     ["--version"],
     ["eval", "episodes.jsonl"],
     ["schedule", "--total-steps", "10", "--stage-length", "5"],
-], ids=["version", "eval", "schedule"])
+    ["inspect", "small.st"],
+], ids=["version", "eval", "schedule", "inspect"])
 def test_commands_that_use_no_numpy_never_load_it(tmp_path, argv):
     write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=2, lift_successes=1),
                       tmp_path / "episodes.jsonl")
+    save_checkpoint(Checkpoint({"a.w": np.ones((2, 3)), "b.w": np.zeros(4, dtype=np.float32)}),
+                    tmp_path / "small.st")
     root = str(Path(revla.__file__).resolve().parent.parent)
     code = _RUN_CLI_THEN_REPORT_NUMPY.format(root=root, argv=argv)
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import time
 
 import pytest
 
+from revla import cores
 from revla.cores import map_on_cores
 
 
@@ -94,3 +96,15 @@ def test_a_worker_that_exits_without_a_result_is_an_error(two_cores):
     with pytest.raises(RuntimeError) as info:
         map_on_cores(exit_in_worker, [0, 1])
     assert re.fullmatch(r"worker \d+ sent no result \(wait status 768\)", str(info.value))
+
+
+def test_a_worker_that_dies_while_writing_its_result_is_an_error(two_cores, monkeypatch):
+    def write_half_then_exit(fn, items, write_fd):
+        payload = pickle.dumps((True, [fn(item) for item in items]), pickle.HIGHEST_PROTOCOL)
+        os.write(write_fd, payload[: len(payload) // 2])
+        os._exit(0)
+
+    monkeypatch.setattr(cores, "_run_in_worker", write_half_then_exit)
+    with pytest.raises(RuntimeError) as info:
+        map_on_cores(lambda item: "x" * 100 + str(item), [0, 1])
+    assert re.fullmatch(r"worker \d+ sent no result \(wait status 0\)", str(info.value))

@@ -4,12 +4,15 @@ and keep splitting checkpoint, lab and eval runs into their layers."""
 from __future__ import annotations
 
 import importlib
+import json
 from pathlib import Path
 
+import pytest
 from synthetic_episodes import expand_cell, write_episode_log
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 EVAL_SPANS = (
     "ood_eval.parse_episode_log",
@@ -102,3 +105,8 @@ def test_traced_lab_records_every_layer(monkeypatch, tmp_path):
     assert any(span.name == "schedule.apply_stage" and span.parent == runs[0]
                for span in tracer.spans)
     oracles.check_lab(out)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_every_committed_bench_file_is_json(path):
+    assert isinstance(json.loads(path.read_text(encoding="utf-8")), dict)
