@@ -10,9 +10,11 @@ The library is imported from those modules, e.g. ``revla.tensor_store``.
 
 __version__ = "0.1.0"
 
-# The command line's argument vocabularies. They live here, where every
-# command already looks for the version, so that building the parser loads
-# no library module; ``revla.ood_eval`` and ``revla.schedule`` re-export them.
+# The command line's argument vocabularies, and the text table that both
+# ``eval`` and ``lab`` print. They live here, where every command already
+# looks for the version, so that building the parser, or a lab's report,
+# loads no other library module; ``revla.ood_eval`` and ``revla.schedule``
+# re-export the vocabularies.
 METRIC_LIFT = "lift"
 METRIC_GRASP = "grasp"
 METRICS = (METRIC_LIFT, METRIC_GRASP)
@@ -22,3 +24,11 @@ MODE_FLIP = "flip"
 MODES = (MODE_GRADUAL, MODE_FLIP)
 
 VARIANTS = ("D_flip", "D_gradual", "DS_flip", "DS_gradual")
+
+
+def format_table(rows: list[tuple[str, ...]]) -> str:
+    """Left-aligned columns two spaces apart, a dash rule under the header row."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"

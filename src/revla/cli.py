@@ -109,9 +109,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "byte_range": list(meta.byte_range),
             "sha256": digest,
         })
-        print(f"{printable(meta.name)}  {rows[-1]['dtype']}  {rows[-1]['shape']}  {digest[:16]}")
     file_digest = file_hash.result().hexdigest()
-    print(f"tensors: {len(rows)}  canonical sha256: {file_digest[:16]}")
     payload = {
         "file": str(args.checkpoint),
         "tensor_count": len(rows),
@@ -120,6 +118,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         "metadata": ckpt.metadata,
     }
     _write_json(Path(args.out), payload)
+    for row in rows:
+        print(f"{printable(row['name'])}  {row['dtype']}  {row['shape']}  {row['sha256'][:16]}")
+    print(f"tensors: {len(rows)}  canonical sha256: {file_digest[:16]}")
     return 0
 
 
@@ -153,10 +154,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     )
     selector = Selector(settings.get("selector", []))
     boundaries = stage_boundaries(schedule)
-    groups = ", ".join(selector.patterns) if selector.patterns else "-"
-    print(f"{'step':>8}  {'alpha':>6}  groups")
-    for step, alpha in boundaries:
-        print(f"{step:>8}  {alpha:>6.3f}  {groups}")
     payload = {
         "mode": schedule.mode,
         "total_steps": schedule.total_steps,
@@ -166,6 +163,10 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         "selector": list(selector.patterns),
     }
     _write_json(Path(args.out), payload)
+    groups = ", ".join(selector.patterns) if selector.patterns else "-"
+    print(f"{'step':>8}  {'alpha':>6}  groups")
+    for step, alpha in boundaries:
+        print(f"{step:>8}  {alpha:>6.3f}  {groups}")
     return 0
 
 
@@ -205,15 +206,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.baseline and args.baseline not in summary:
         raise EvalLogError(f"baseline policy {args.baseline!r} not present in the logs")
 
-    ood_text = render_ood_table(table)
-    print(ood_text, end="")
-    in_domain_text = render_in_domain_table(table)
-    if in_domain_text:
-        print()
-        print(in_domain_text, end="")
-    print()
-    print(render_partial_success(summary), end="")
-
+    # each section ends its lines; an empty one (no in-domain records) is left out
+    sections = [render_ood_table(table), render_in_domain_table(table), render_partial_success(summary)]
     payload = {
         "metric": args.metric,
         "table": table.to_dict(),
@@ -233,14 +227,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "lift_pct": relative_improvement(lift, base_lift) if base_lift else None,
             }
         payload["improvement_over_baseline"] = {"baseline": args.baseline, "policies": improvements}
-        print()
-        print(f"improvement over {args.baseline}:")
+        lines = [f"improvement over {args.baseline}:\n"]
         for policy, imp in improvements.items():
             grasp_text, lift_text = (
                 "n/a" if pct is None else f"{pct:+d}%" for pct in (imp["grasp_pct"], imp["lift_pct"])
             )
-            print(f"  {policy}: grasp {grasp_text}  lift {lift_text}")
+            lines.append(f"  {policy}: grasp {grasp_text}  lift {lift_text}\n")
+        sections.append("".join(lines))
     _write_json(Path(args.out), payload)
+    print("\n".join(section for section in sections if section), end="")
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import os
-import pickle
 from typing import BinaryIO, Callable, NoReturn, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -49,6 +48,8 @@ def _run_in_worker(fn: Callable[[T], R], items: Sequence[T], write_fd: int) -> N
     ``os._exit`` skips the caller's cleanup (atexit hooks, buffered stdio,
     pending ``finally`` blocks) that the worker inherited at the fork.
     """
+    import pickle
+
     status = 1
     try:
         try:
@@ -75,6 +76,8 @@ def map_on_cores(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     k = min(len(items), usable_cores())
     if k < 2:
         return [fn(item) for item in items]
+    import pickle  # here, not at load: ``inspect`` reads through this module's ByteRange alone
+
     cuts = [len(items) * i // k for i in range(k + 1)]
     slices = [items[start:stop] for start, stop in zip(cuts, cuts[1:])]
     # numpy's OpenBLAS shuts its thread pool down before a fork (a pthread_atfork

@@ -29,7 +29,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import METRIC_GRASP, METRIC_LIFT, METRICS
+from . import METRIC_GRASP, METRIC_LIFT, METRICS, format_table
 
 OOD_OBJECTS = ("pear", "mustard_bottle", "tomato_can")
 IN_DOMAIN_OBJECT = "coke_can"
@@ -489,14 +489,6 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
     if problems:
         raise EvalLogError(f"invalid episode log {path}:\n" + "\n".join(problems))
     return records
-
-
-def format_table(rows: list[tuple[str, ...]]) -> str:
-    """Left-aligned columns two spaces apart, a dash rule under the header row."""
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
 
 
 def _fmt(rate: float) -> str:

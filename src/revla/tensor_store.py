@@ -12,11 +12,13 @@ data section without gaps, and pads the header with spaces to an 8-byte
 multiple, which makes byte output a deterministic function of the
 checkpoint's contents.
 
-A loaded checkpoint keeps its file open and reads each tensor from it when
-the tensor is used, so a merge or a save holds about one input tensor at a
-time on top of what it computes. Headers describe each tensor by its file
-tag (``F32``, ``F64``), so this module imports numpy only where an array is
-built or compared: a command that reads headers and bytes alone never loads it.
+Every tensor is one entry: its file tag (``F32``, ``F64``), its shape, and
+its little-endian bytes, which are either left in a loaded file or held in
+memory. A loaded checkpoint keeps its file open and reads each tensor from
+it when the tensor is used, so a merge or a save holds about one input
+tensor at a time on top of what it computes. This module imports numpy only
+where an array is built or compared: a command that reads headers and bytes
+alone never loads it.
 """
 
 from __future__ import annotations
@@ -80,11 +82,6 @@ def _expected_nbytes(tag: str, shape: tuple[int, ...]) -> int:
     return math.prod(shape) * _ITEMSIZE[tag]
 
 
-def _tag(tensor: _Stored | np.ndarray) -> str:
-    """The file tag of a checkpoint's tensor; an array's is native-order f32 or f64."""
-    return tensor.tag if isinstance(tensor, _Stored) else _TAG_FOR_CHAR[tensor.dtype.char]
-
-
 class _Source:
     """An open checkpoint file that tensors are read from when they are used.
 
@@ -118,9 +115,13 @@ class _Source:
 
 
 class _Stored(NamedTuple):
-    """A tensor left in its file: read on every access, never cached."""
+    """One tensor: its tag, its shape, and where its little-endian bytes are.
 
-    source: _Source
+    ``source`` is the loaded file the bytes lie in at ``offset``, read on
+    every access and never cached, or the tensor's own ``bytes`` held in memory.
+    """
+
+    source: _Source | bytes
     offset: int
     shape: tuple[int, ...]
     tag: str
@@ -130,10 +131,13 @@ class _Stored(NamedTuple):
         return _expected_nbytes(self.tag, self.shape)
 
     def raw(self) -> bytes:
-        """The tensor's little-endian bytes, as they lie in the file."""
+        """The tensor's little-endian bytes: those held, or a new read of its file."""
+        if isinstance(self.source, bytes):
+            return self.source
         return self.source.read(self.offset, self.nbytes)
 
     def read(self) -> np.ndarray:
+        """A new read-only array over the tensor's bytes."""
         import numpy as np
 
         return np.ndarray(self.shape, _DTYPE_FOR_TAG[self.tag], self.raw())
@@ -142,10 +146,11 @@ class _Stored(NamedTuple):
 class Checkpoint:
     """Immutable, name-ordered collection of dense float tensors.
 
-    Every tensor is a C-contiguous array whose ``base`` is an immutable
-    ``bytes`` object, so it can never be made writable. Such arrays are
-    adopted and shared; anything else is copied once. A loaded checkpoint's
-    tensors stay in its file: indexing reads one into a new array each time,
+    Every tensor's bytes are an immutable ``bytes`` object, so no array of
+    them can be made writable. An array whose ``base`` is a ``bytes`` object
+    holding exactly its bytes in file order is adopted and shared; anything
+    else is copied once. A loaded checkpoint's tensors stay in its file.
+    Indexing builds a new read-only array over a tensor's bytes each time,
     and names, shapes and dtypes are known without reading any. Iteration
     is by name.
     """
@@ -155,27 +160,29 @@ class Checkpoint:
         tensors: Mapping[str, np.ndarray],
         metadata: Mapping[str, str] | None = None,
     ) -> None:
-        frozen: dict[str, np.ndarray] = {}
+        frozen: dict[str, _Stored] = {}
         for name in sorted(tensors):
             if not isinstance(name, str) or not name:
                 raise CheckpointFormatError(f"invalid tensor name: {name!r}")
             if name == _METADATA_KEY:
                 raise CheckpointFormatError(f"{_METADATA_KEY!r} is reserved")
-            arr = tensors[name]
-            if isinstance(arr, _Stored):
-                frozen[name] = arr
-                continue
-            import numpy as np
+            tensor = tensors[name]
+            if not isinstance(tensor, _Stored):
+                import numpy as np
 
-            arr = np.asarray(arr)
-            if not (arr.dtype.isnative and arr.dtype.char in _TAG_FOR_CHAR):
-                raise CheckpointFormatError(
-                    f"tensor {name!r}: unsupported dtype {arr.dtype}; "
-                    "only f32 and f64 are stored"
-                )
-            if not (isinstance(arr.base, bytes) and arr.flags.c_contiguous):
-                arr = np.ndarray(arr.shape, arr.dtype, buffer=arr.tobytes())
-            frozen[name] = arr
+                arr = np.asarray(tensor)
+                if not (arr.dtype.isnative and arr.dtype.char in _TAG_FOR_CHAR):
+                    raise CheckpointFormatError(
+                        f"tensor {name!r}: unsupported dtype {arr.dtype}; "
+                        "only f32 and f64 are stored"
+                    )
+                tag = _TAG_FOR_CHAR[arr.dtype.char]
+                held = arr.base  # adopted if it is exactly the array's bytes in file order
+                in_file_order = arr.flags.c_contiguous and arr.dtype.str == _DTYPE_FOR_TAG[tag]
+                if not (isinstance(held, bytes) and len(held) == arr.nbytes and in_file_order):
+                    held = np.asarray(arr, _DTYPE_FOR_TAG[tag]).tobytes()
+                tensor = _Stored(held, 0, arr.shape, tag)
+            frozen[name] = tensor
         self._tensors = frozen
         if metadata is not None:
             for key, value in metadata.items():
@@ -191,8 +198,7 @@ class Checkpoint:
         return list(self._tensors)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        tensor = self._tensors[name]
-        return tensor.read() if isinstance(tensor, _Stored) else tensor
+        return self._tensors[name].read()
 
     def __contains__(self, name: object) -> bool:
         return name in self._tensors
@@ -207,9 +213,9 @@ class Checkpoint:
         """Canonical header entries: name order, gap-free ascending offsets."""
         out = []
         offset = 0
-        for name, arr in self._tensors.items():
-            end = offset + arr.nbytes
-            out.append(TensorMeta(name, _tag(arr), arr.shape, (offset, end)))
+        for name, tensor in self._tensors.items():
+            end = offset + tensor.nbytes
+            out.append(TensorMeta(name, tensor.tag, tensor.shape, (offset, end)))
             offset = end
         return out
 
@@ -269,8 +275,8 @@ def validate_compat(a: Checkpoint, b: Checkpoint, names: Iterable[str] | None = 
         + [f"missing in second checkpoint: {printable(n)}" for n in scope if n not in b]
         + [f"shape mismatch for {n}: {list(ta.shape)} vs {list(tb.shape)}"
            for n, ta, tb in both if ta.shape != tb.shape]
-        + [f"dtype mismatch for {n}: {_tag(ta)} vs {_tag(tb)}"
-           for n, ta, tb in both if _tag(ta) != _tag(tb)]
+        + [f"dtype mismatch for {n}: {ta.tag} vs {tb.tag}"
+           for n, ta, tb in both if ta.tag != tb.tag]
     )
 
 
@@ -399,11 +405,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(tensors, metadata or None)
 
 
-def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes | memoryview]:
-    """The canonical file in order: length-prefixed padded header, then each tensor's buffer.
-
-    A tensor still in its file is its bytes there, read without building an array.
-    """
+def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes]:
+    """The canonical file in order: length-prefixed padded header, then each tensor's bytes."""
     header: dict[str, object] = {}
     if ckpt.metadata:
         header[_METADATA_KEY] = ckpt.metadata
@@ -417,12 +420,7 @@ def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes | memoryview]:
     blob += b" " * (-len(blob) % 8)
     yield struct.pack("<Q", len(blob)) + blob
     for tensor in ckpt._tensors.values():
-        if isinstance(tensor, _Stored):
-            yield tensor.raw()
-        else:
-            import numpy as np
-
-            yield np.ascontiguousarray(tensor, dtype=tensor.dtype.newbyteorder("<")).data
+        yield tensor.raw()
 
 
 def _whole_file(ckpt: Checkpoint, head: bytes) -> bytes | None:
@@ -434,12 +432,10 @@ def _whole_file(ckpt: Checkpoint, head: bytes) -> bytes | None:
     serialization.
     """
     tensors = list(ckpt._tensors.values())
-    if not tensors or not isinstance(tensors[0], _Stored):
+    if not tensors or not isinstance(tensors[0].source, _Source):
         return None
     source = tensors[0].source
-    if source.head != head or not all(
-        isinstance(tensor, _Stored) and tensor.source is source for tensor in tensors
-    ):
+    if source.head != head or not all(tensor.source is source for tensor in tensors):
         return None
     return source.read(0, source.size)
 

@@ -25,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import format_table
 from ..cores import map_on_cores
 from ..merge import selected_pairs
-from ..ood_eval import format_table
 from ..schedule import MergePlan, apply_stage, stage_boundaries
 from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint
 from .model import ENCODER_NAMES, ENCODER_PATTERNS, ToyModel, forward

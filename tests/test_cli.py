@@ -725,55 +725,62 @@ def test_running_out_of_memory_fails_with_one_line(tmp_path, argv):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.st", "b.st"]  # no output, no .tmp
 
 
-_RUN_CLI_THEN_REPORT_NUMPY = """
+_RUN_CLI_THEN_REPORT_MODULES = """
 import runpy, sys
 sys.path.insert(0, {root!r})
 sys.argv = ["revla", *{argv!r}]
 try:
     runpy.run_module("revla.cli", run_name="__main__")
 finally:
-    print("numpy" in sys.modules)
+    print(sorted({unloaded!r} & set(sys.modules)))
 """
 
+# argv -> the modules that must stay unloaded while the command runs
+_UNLOADED_BY_COMMAND = {
+    "version": (["--version"], {"numpy", "logging", "pickle", "revla.cores", "revla.ood_eval",
+                                "revla.schedule", "revla.selector", "dataclasses", "decimal"}),
+    "eval": (["eval", "episodes.jsonl"], {"numpy"}),
+    "schedule": (["schedule", "--total-steps", "10", "--stage-length", "5"], {"numpy", "revla.ood_eval"}),
+    "inspect": (["inspect", "small.st"], {"numpy", "pickle"}),
+    "lab": (["lab", "--variant", "D_flip", "--seed", "1", "--total-steps", "4", "--stage-length", "2",
+             "--pretrain-steps", "4", "--finetune-steps", "4"], {"revla.ood_eval", "decimal"}),
+}
 
-@pytest.mark.parametrize("argv", [
-    ["--version"],
-    ["eval", "episodes.jsonl"],
-    ["schedule", "--total-steps", "10", "--stage-length", "5"],
-    ["inspect", "small.st"],
-], ids=["version", "eval", "schedule", "inspect"])
-def test_commands_that_use_no_numpy_never_load_it(tmp_path, argv):
+
+def _write_small_inputs(tmp_path):
+    """``episodes.jsonl`` and ``small.st`` in ``tmp_path``, for the commands that read them."""
     write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=2, lift_successes=1),
                       tmp_path / "episodes.jsonl")
     save_checkpoint(Checkpoint({"a.w": np.ones((2, 3)), "b.w": np.zeros(4, dtype=np.float32)}),
                     tmp_path / "small.st")
+
+
+@pytest.mark.parametrize("command", list(_UNLOADED_BY_COMMAND))
+def test_each_command_leaves_unloaded_what_it_does_not_run(tmp_path, command):
+    argv, unloaded = _UNLOADED_BY_COMMAND[command]
+    _write_small_inputs(tmp_path)
     root = str(Path(revla.__file__).resolve().parent.parent)
-    code = _RUN_CLI_THEN_REPORT_NUMPY.format(root=root, argv=argv)
+    code = _RUN_CLI_THEN_REPORT_MODULES.format(root=root, argv=argv, unloaded=unloaded)
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
-def test_version_loads_neither_pickle_nor_the_fork_helper():
-    root = str(Path(revla.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {root!r}); sys.argv = ['revla', '--version']\n"
-            "import runpy\n"
-            "try:\n    runpy.run_module('revla.cli', run_name='__main__')\n"
-            "finally:\n    print(sorted({'logging', 'pickle', 'revla.cores', 'revla.ood_eval', "
-            "'revla.schedule', 'revla.selector', 'dataclasses', 'decimal'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
-    assert result.stdout.splitlines()[-1] == "[]", result.stderr
-
-
-def test_schedule_loads_neither_numpy_nor_ood_eval(tmp_path):
-    root = str(Path(revla.__file__).resolve().parent.parent)
-    argv = ["schedule", "--total-steps", "10", "--stage-length", "5", "--out", str(tmp_path / "s.json")]
-    code = (f"import sys; sys.path.insert(0, {root!r}); from revla.cli import main\n"
-            f"code = main({argv!r})\n"
-            "print(code, sorted({'numpy', 'revla.ood_eval'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True)
-    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+@pytest.mark.parametrize("command", ["inspect", "eval", "schedule"])
+def test_an_out_that_cannot_be_written_fails_before_anything_is_printed(tmp_path, monkeypatch, capsys,
+                                                                         command):
+    _write_small_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "outdir"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    argv, _ = _UNLOADED_BY_COMMAND[command]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n"
+    assert [(path.name, path.read_text()) for path in out.iterdir()] == [("kept.txt", "kept")]
 
 
 def test_importing_the_cli_and_schedule_leaves_numpy_unloaded():

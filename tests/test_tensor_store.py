@@ -304,6 +304,25 @@ def test_construction_copies_a_writable_source():
     assert ckpt["read_only_view"].tolist() == [1.0, 2.0, 3.0]
 
 
+def test_an_in_memory_tensor_is_read_over_its_held_bytes():
+    ckpt = Checkpoint({"a.w": np.arange(6.0).reshape(2, 3), "b.w": np.ones(4, dtype=np.float32)})
+    first, second = ckpt["a.w"], ckpt["a.w"]
+    assert first is not second and np.shares_memory(first, second)
+    assert not first.flags.writeable and not second.flags.writeable
+    _, *parts = tensor_store._canonical_parts(ckpt)
+    assert parts[0] is first.base and parts[1] is ckpt["b.w"].base
+    assert [type(part) for part in parts] == [bytes, bytes]
+
+
+def test_an_array_over_part_of_a_bytes_object_is_copied():
+    entries = [("w", np.arange(3.0))]
+    raw = build_file_bytes(entries)
+    view = np.ndarray((3,), np.float64, raw, len(raw) - 24)
+    ckpt = Checkpoint({"w": view})
+    assert not np.shares_memory(ckpt["w"], view) and len(ckpt["w"].base) == 24
+    assert serialize_checkpoint(ckpt) == raw
+
+
 def _traced_peak(func, *args):
     tracemalloc.start()
     try:
