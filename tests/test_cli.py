@@ -735,15 +735,14 @@ finally:
     print(sorted({unloaded!r} & set(sys.modules)))
 """
 
-# argv -> the modules that must stay unloaded while the command runs
-_UNLOADED_BY_COMMAND = {
-    "version": (["--version"], {"numpy", "logging", "pickle", "revla.cores", "revla.ood_eval",
-                                "revla.schedule", "revla.selector", "dataclasses", "decimal"}),
-    "eval": (["eval", "episodes.jsonl"], {"numpy"}),
-    "schedule": (["schedule", "--total-steps", "10", "--stage-length", "5"], {"numpy", "revla.ood_eval"}),
-    "inspect": (["inspect", "small.st"], {"numpy", "pickle"}),
-    "lab": (["lab", "--variant", "D_flip", "--seed", "1", "--total-steps", "4", "--stage-length", "2",
-             "--pretrain-steps", "4", "--finetune-steps", "4"], {"revla.ood_eval", "decimal"}),
+# the argv each command runs with in the import tests, over the inputs of ``_write_small_inputs``
+_ARGV_BY_COMMAND = {
+    "version": ["--version"],
+    "eval": ["eval", "episodes.jsonl"],
+    "schedule": ["schedule", "--total-steps", "10", "--stage-length", "5"],
+    "inspect": ["inspect", "small.st"],
+    "lab": ["lab", "--variant", "D_flip", "--seed", "1", "--total-steps", "4", "--stage-length", "2",
+            "--pretrain-steps", "4", "--finetune-steps", "4"],
 }
 
 
@@ -755,16 +754,38 @@ def _write_small_inputs(tmp_path):
                     tmp_path / "small.st")
 
 
-@pytest.mark.parametrize("command", list(_UNLOADED_BY_COMMAND))
-def test_each_command_leaves_unloaded_what_it_does_not_run(tmp_path, command):
-    argv, unloaded = _UNLOADED_BY_COMMAND[command]
+def _loaded_after(tmp_path, command, modules):
+    """Which of ``modules`` a fresh interpreter has loaded once ``revla <command>`` has run."""
     _write_small_inputs(tmp_path)
     root = str(Path(revla.__file__).resolve().parent.parent)
-    code = _RUN_CLI_THEN_REPORT_MODULES.format(root=root, argv=argv, unloaded=unloaded)
+    code = _RUN_CLI_THEN_REPORT_MODULES.format(root=root, argv=_ARGV_BY_COMMAND[command], unloaded=modules)
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["version", "eval", "schedule", "inspect"])
+def test_commands_that_use_no_numpy_never_load_it(tmp_path, command):
+    assert _loaded_after(tmp_path, command, {"numpy"}) == "[]"
+
+
+def test_version_loads_neither_pickle_nor_the_fork_helper(tmp_path):
+    modules = {"logging", "pickle", "revla.cores", "revla.ood_eval", "revla.schedule", "revla.selector",
+               "dataclasses", "decimal"}
+    assert _loaded_after(tmp_path, "version", modules) == "[]"
+
+
+def test_schedule_loads_neither_numpy_nor_ood_eval(tmp_path):
+    assert _loaded_after(tmp_path, "schedule", {"numpy", "revla.ood_eval"}) == "[]"
+
+
+def test_inspect_loads_no_pickle(tmp_path):
+    assert _loaded_after(tmp_path, "inspect", {"pickle"}) == "[]"
+
+
+def test_lab_loads_neither_ood_eval_nor_decimal(tmp_path):
+    assert _loaded_after(tmp_path, "lab", {"revla.ood_eval", "decimal"}) == "[]"
 
 
 @pytest.mark.parametrize("command", ["inspect", "eval", "schedule"])
@@ -775,8 +796,7 @@ def test_an_out_that_cannot_be_written_fails_before_anything_is_printed(tmp_path
     out = tmp_path / "outdir"
     out.mkdir()
     (out / "kept.txt").write_text("kept")
-    argv, _ = _UNLOADED_BY_COMMAND[command]
-    assert main([*argv, "--out", str(out)]) == 1
+    assert main([*_ARGV_BY_COMMAND[command], "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}\n"
