@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import METRIC_LIFT, METRICS, MODE_GRADUAL, MODES, VARIANTS, __version__
+from . import METRIC_LIFT, METRICS, MODE_GRADUAL, MODES, VARIANTS, __version__, check_output
 
 DEFAULT_LAB_TOTAL_STEPS = 5000
 DEFAULT_LAB_STAGE_LENGTH = 500
@@ -85,6 +85,7 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    check_output(args.out, [args.checkpoint])
     import hashlib  # imported here to keep startup fast
     from concurrent.futures import ThreadPoolExecutor
 
@@ -125,6 +126,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
+    check_output(args.out, renamed=True)  # the rename keeps the inputs safe
     from .merge import MergeSpec
     from .selector import Selector
     from .tensor_store import select
@@ -143,6 +145,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
+    check_output(args.out, [args.config] if args.config else ())
     from .schedule import Schedule, stage_boundaries
     from .selector import Selector
 
@@ -186,7 +189,7 @@ def cmd_lab(args: argparse.Namespace) -> int:
     reports, shared_curves = run_reversal_experiment(plans, config, checkpoint_dir=checkpoint_dir)
     _write_json(out_dir / "shared.json", {"loss_curves": shared_curves})
     for report in reports:
-        (out_dir / f"report_{report.variant_name}.json").write_text(report.to_json(), encoding="utf-8")
+        _write_json(out_dir / f"report_{report.variant_name}.json", report.to_dict())
     comparison = render_comparison(reports)
     (out_dir / "comparison.txt").write_text(comparison, encoding="utf-8")
     print(comparison, end="")
@@ -194,6 +197,7 @@ def cmd_lab(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    check_output(args.out, args.logs)
     from .ood_eval import EvalLogError, collector_off, relative_improvement
 
     with collector_off():

@@ -23,12 +23,10 @@ alone never loads it.
 
 from __future__ import annotations
 
-import errno
 import io
 import json
 import math
 import os
-import stat
 import struct
 import sys
 import threading
@@ -37,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
+from . import check_output
 from .cores import ByteRange
 from .selector import Selector
 
@@ -461,14 +460,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     The bytes go to a new file beside ``path`` that is renamed over it once
     complete, so a failed write leaves an existing ``path`` as it was. The
     new file's name is short whatever ``path``'s length, so any name the
-    file system accepts can be saved to, and one it refuses, or a directory,
-    fails first. A symbolic link is replaced, not followed.
+    file system accepts can be saved to, and one it refuses, a directory, or
+    a FIFO, device or socket fails first. Any other symbolic link is replaced.
     """
-    try:
-        if stat.S_ISDIR(os.lstat(path).st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    except FileNotFoundError:
-        pass  # a new file
+    check_output(path, renamed=True)
     tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         fh = open(tmp, "xb")

@@ -18,7 +18,6 @@ the first slice itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -93,9 +92,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         # not asdict: its deep copy of the 5,000 reversal loss floats would cost about 9 ms per report
         return {**vars(self), "forgetting_ratio": self.forgetting_ratio}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ the command is run on them in process. Whatever the bytes, a run must:
 - or fail as an argparse usage error (exit 2), which prints its usage first;
 - leave no temporary file, and, when it fails, leave an existing ``--out`` as
   it was.
+
+An ``--out`` that cannot be written, or that is one of the command's inputs,
+is refused before any input is read.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -26,6 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from synthetic_episodes import expand_cell, write_episode_log
 
+from revla import cli
 from revla.cli import main
 from revla.tensor_store import Checkpoint, save_checkpoint
 
@@ -261,3 +267,87 @@ def test_a_tensor_name_cannot_split_an_inspect_row(tmp_path, capsys):
     assert rows[1].startswith("'x\\nshape mismatch for y: [1] vs [2]'  f64  [1]  ")
     assert [row["name"] for row in json.loads(out.read_text(encoding="utf-8"))["tensors"]] == [
         "vision.ä", FORGING_NAME]
+
+
+# Each command with the inputs it reads (written by ``_write_out_inputs``) and, where it
+# has one, the cli name through which it reads its first input.
+_OUT_COMMANDS = {
+    "inspect": (["inspect", "c.st"], ["c.st"], "load_checkpoint"),
+    "eval": (["eval", "log.jsonl"], ["log.jsonl"], "parse_episode_log"),
+    "schedule": (["schedule", "--config", "s.json"], ["s.json"], None),
+    "merge": (["merge", "c.st", "o.st", "--alpha", "0.5"], ["c.st", "o.st"], "load_checkpoint"),
+}
+
+
+def _out_directory(inputs: list[str]) -> str:
+    Path("outdir").mkdir()
+    _write(Path("outdir") / "kept", PREVIOUS)
+    return "outdir"
+
+
+def _out_directory_link(inputs: list[str]) -> str:
+    os.symlink(_out_directory(inputs), "dirlink")  # written through by a JSON output
+    return "dirlink"
+
+
+def _out_hard_link(inputs: list[str]) -> str:
+    os.link(inputs[0], "hard")
+    return "hard"
+
+
+def _out_symlink(inputs: list[str]) -> str:
+    os.symlink(inputs[0], "soft")
+    return "soft"
+
+
+def _out_fifo(inputs: list[str]) -> str:
+    os.mkfifo("fifo")
+    return "fifo"
+
+
+_OUT_CASES = {  # how each case makes its --out, in the working directory
+    "directory": _out_directory,
+    "directory link": _out_directory_link,
+    "long name": lambda inputs: "m" * 256,
+    "own input": lambda inputs: inputs[0],
+    "own input, hard link": _out_hard_link,
+    "own input, symlink": _out_symlink,
+    "fifo": _out_fifo,
+}
+# merge's rename replaces a link to a directory, and keeps its inputs as they were
+_JSON_ONLY = ("directory link", "own input", "own input, hard link", "own input, symlink")
+_OUT_ROWS = [(command, case) for command in _OUT_COMMANDS
+             for case in ("directory", "long name", *(("fifo",) if command == "merge" else _JSON_ONLY))]
+
+
+def _write_out_inputs() -> None:
+    for name, data in (("c.st", CHECKPOINT), ("o.st", OTHER_CHECKPOINT), ("log.jsonl", EPISODE_LOG),
+                       ("s.json", SCHEDULE_CONFIG)):
+        _write(Path(name), data)
+
+
+def _tree() -> list:
+    """Every entry under the working directory, by name and kind, with the bytes of each regular file."""
+    return sorted((str(p), stat.S_IFMT(p.lstat().st_mode), p.read_bytes() if p.is_file() else None)
+                  for p in Path().rglob("*"))
+
+
+@pytest.mark.parametrize("command, case", _OUT_ROWS, ids=[f"{c}-{k}" for c, k in _OUT_ROWS])
+def test_an_out_that_cannot_be_written_is_refused_before_the_work(tmp_path, monkeypatch, capsys,
+                                                                   command, case):
+    monkeypatch.chdir(tmp_path)
+    _write_out_inputs()
+    argv, inputs, reader = _OUT_COMMANDS[command]
+    out = _OUT_CASES[case](inputs)
+    calls = []
+    if reader:
+        real = getattr(cli, reader)
+        monkeypatch.setattr(cli, reader, lambda *args: calls.append(args) or real(*args))
+    before = _tree()
+    assert main([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert repr(out) in captured.err
+    assert _tree() == before
+    assert calls == []

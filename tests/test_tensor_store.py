@@ -606,6 +606,25 @@ def test_save_to_a_directory_fails_before_creating_a_file(tmp_path, monkeypatch)
     assert [p.name for p in target.iterdir()] == ["kept"]
 
 
+def test_save_to_a_fifo_fails_before_creating_a_file(tmp_path, monkeypatch):
+    fifo, link, dangling = tmp_path / "fifo", tmp_path / "link", tmp_path / "dangling"
+    os.mkfifo(fifo)
+    link.symlink_to(fifo)
+    dangling.symlink_to(tmp_path / "nowhere")
+    ckpt = Checkpoint({"w": np.ones(3)})
+    opened = []
+    monkeypatch.setattr(tensor_store, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                        raising=False)
+    for target in (fifo, link):  # a link to a FIFO is refused too, and neither node is replaced
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(str(target)))} is a FIFO, device or socket"):
+            save_checkpoint(ckpt, target)
+    assert opened == []
+    assert fifo.is_fifo() and link.is_symlink() and link.resolve() == fifo
+    # a link that leads nowhere is replaced, as before
+    save_checkpoint(ckpt, dangling)
+    assert not dangling.is_symlink() and load_checkpoint(dangling) == ckpt
+
+
 _names = st.lists(
     st.from_regex(r"[a-c](\.[a-c0-9]{1,3}){0,2}", fullmatch=True),
     min_size=0, max_size=4, unique=True,
