@@ -11,14 +11,16 @@ The library is imported from those modules, e.g. ``revla.tensor_store``.
 import errno
 import os
 import stat
+import threading
+from pathlib import Path
 
 __version__ = "0.1.0"
 
 # The command line's argument vocabularies, the text table that both ``eval``
-# and ``lab`` print, and the check of an output path. They live here, where
-# every command already looks for the version, so that building the parser,
-# or a lab's report, loads no other library module; ``revla.ood_eval`` and
-# ``revla.schedule`` re-export the vocabularies.
+# and ``lab`` print, and the check of an output path, which returns its writer.
+# They live here, where every command already looks for the version, so that
+# building the parser, or a lab's report, loads no other library module;
+# ``revla.ood_eval`` and ``revla.schedule`` re-export the vocabularies.
 METRIC_LIFT = "lift"
 METRIC_GRASP = "grasp"
 METRICS = (METRIC_LIFT, METRIC_GRASP)
@@ -38,16 +40,36 @@ def format_table(rows: list[tuple[str, ...]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_output(path, inputs=(), *, renamed=False) -> None:
-    """Fail, naming only ``path``, on a directory, a refused name or one of ``inputs``; a new name passes.
+def check_output(path, inputs=(), *, renamed=False):
+    """Fail, naming only ``path``, on a directory, a refused name, a missing directory or one of ``inputs``.
 
-    A ``renamed`` output replaces a link to a directory, and fails on a FIFO, device or socket."""
+    Return the one function that writes ``path``, from chunks of bytes: whole to a new file renamed over
+    it, or in place if ``path`` is a link or not a regular file. A ``renamed`` output is always renamed:
+    it replaces a link, even to a directory, and fails here on a FIFO, device or socket."""
     try:
         if stat.S_ISDIR((os.lstat if renamed else os.stat)(path).st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     except FileNotFoundError:
-        return
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path)) from None
     if renamed and os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
         raise ValueError(f"{str(path)!r} is a FIFO, device or socket, not a file to replace")
     if os.path.exists(path) and any(os.path.exists(i) and os.path.samefile(path, i) for i in inputs):
         raise ValueError(f"output {str(path)!r} is one of the command's inputs")
+    in_place = not renamed and (os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path))
+
+    def write(chunks) -> None:
+        if in_place:
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
+            return
+        tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.tmp")
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    return write

@@ -57,9 +57,8 @@ render_in_domain_table = _on_first_call(".ood_eval", "render_in_domain_table")
 render_partial_success = _on_first_call(".ood_eval", "render_partial_success")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _write_json(write, payload: dict) -> None:  # ``write`` is one that ``check_output`` returned
+    write([(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")])
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -85,7 +84,7 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    check_output(args.out, [args.checkpoint])
+    write_out = check_output(args.out, [args.checkpoint])
     import hashlib  # imported here to keep startup fast
     from concurrent.futures import ThreadPoolExecutor
 
@@ -118,7 +117,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         "canonical_sha256": file_digest,
         "metadata": ckpt.metadata,
     }
-    _write_json(Path(args.out), payload)
+    _write_json(write_out, payload)
     for row in rows:
         print(f"{printable(row['name'])}  {row['dtype']}  {row['shape']}  {row['sha256'][:16]}")
     print(f"tensors: {len(rows)}  canonical sha256: {file_digest[:16]}")
@@ -145,7 +144,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    check_output(args.out, [args.config] if args.config else ())
+    write_out = check_output(args.out, [args.config] if args.config else ())
     from .schedule import Schedule, stage_boundaries
     from .selector import Selector
 
@@ -165,7 +164,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         "boundaries": [[step, alpha] for step, alpha in boundaries],
         "selector": list(selector.patterns),
     }
-    _write_json(Path(args.out), payload)
+    _write_json(write_out, payload)
     groups = ", ".join(selector.patterns) if selector.patterns else "-"
     print(f"{'step':>8}  {'alpha':>6}  groups")
     for step, alpha in boundaries:
@@ -185,19 +184,26 @@ def cmd_lab(args: argparse.Namespace) -> int:
     config = LabConfig(**settings)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # every file the lab writes is checked before the first training step
+    inputs = [args.config] if args.config else ()
+    write = {name: check_output(out_dir / name, inputs) for name in
+             ["shared.json", *(f"report_{plan.variant_name}.json" for plan in plans), "comparison.txt"]}
+    if args.save_checkpoints:
+        for name in ["pretrained", "finetuned", *(f"{plan.variant_name}_final" for plan in plans)]:
+            check_output(out_dir / f"{name}.safetensors", inputs, renamed=True)
     checkpoint_dir = out_dir if args.save_checkpoints else None
     reports, shared_curves = run_reversal_experiment(plans, config, checkpoint_dir=checkpoint_dir)
-    _write_json(out_dir / "shared.json", {"loss_curves": shared_curves})
+    _write_json(write["shared.json"], {"loss_curves": shared_curves})
     for report in reports:
-        _write_json(out_dir / f"report_{report.variant_name}.json", report.to_dict())
+        _write_json(write[f"report_{report.variant_name}.json"], report.to_dict())
     comparison = render_comparison(reports)
-    (out_dir / "comparison.txt").write_text(comparison, encoding="utf-8")
+    write["comparison.txt"]([comparison.encode("utf-8")])
     print(comparison, end="")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    check_output(args.out, args.logs)
+    write_out = check_output(args.out, args.logs)
     from .ood_eval import EvalLogError, collector_off, relative_improvement
 
     with collector_off():
@@ -238,7 +244,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
             lines.append(f"  {policy}: grasp {grasp_text}  lift {lift_text}\n")
         sections.append("".join(lines))
-    _write_json(Path(args.out), payload)
+    _write_json(write_out, payload)
     print("\n".join(section for section in sections if section), end="")
     return 0
 

@@ -29,7 +29,6 @@ import math
 import os
 import struct
 import sys
-import threading
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -455,25 +454,6 @@ def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Write the canonical serialization of ``ckpt`` to ``path``, replacing it atomically.
-
-    The bytes go to a new file beside ``path`` that is renamed over it once
-    complete, so a failed write leaves an existing ``path`` as it was. The
-    new file's name is short whatever ``path``'s length, so any name the
-    file system accepts can be saved to, and one it refuses, a directory, or
-    a FIFO, device or socket fails first. Any other symbolic link is replaced.
-    """
-    check_output(path, renamed=True)
-    tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        fh = open(tmp, "xb")
-    except FileNotFoundError as exc:
-        # the directory is missing: name the path the caller asked for
-        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with fh:
-            fh.writelines(_canonical_parts(ckpt))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write the canonical serialization of ``ckpt`` to ``path`` with the writer that
+    ``revla.check_output`` returns for a renamed output: whole or not at all, replacing any link."""
+    check_output(path, renamed=True)(_canonical_parts(ckpt))

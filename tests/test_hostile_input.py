@@ -12,17 +12,22 @@ the command is run on them in process. Whatever the bytes, a run must:
   it was.
 
 An ``--out`` that cannot be written, or that is one of the command's inputs,
-is refused before any input is read.
+is refused before any input is read. A write cut short leaves every earlier
+file as it was.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from synthetic_episodes import expand_cell, write_episode_log
 
+import revla
 from revla import cli
 from revla.cli import main
 from revla.tensor_store import Checkpoint, save_checkpoint
@@ -313,11 +319,13 @@ _OUT_CASES = {  # how each case makes its --out, in the working directory
     "own input, hard link": _out_hard_link,
     "own input, symlink": _out_symlink,
     "fifo": _out_fifo,
+    "missing parent": lambda inputs: os.path.join("nodir", "sub", "out"),
 }
 # merge's rename replaces a link to a directory, and keeps its inputs as they were
 _JSON_ONLY = ("directory link", "own input", "own input, hard link", "own input, symlink")
 _OUT_ROWS = [(command, case) for command in _OUT_COMMANDS
-             for case in ("directory", "long name", *(("fifo",) if command == "merge" else _JSON_ONLY))]
+             for case in ("directory", "long name", "missing parent",
+                          *(("fifo",) if command == "merge" else _JSON_ONLY))]
 
 
 def _write_out_inputs() -> None:
@@ -351,3 +359,105 @@ def test_an_out_that_cannot_be_written_is_refused_before_the_work(tmp_path, monk
     assert repr(out) in captured.err
     assert _tree() == before
     assert calls == []
+
+
+# the files a lab run over LAB_CONFIG (variant D_gradual) writes with --save-checkpoints
+_LAB_OUTPUTS = ("shared.json", "report_D_gradual.json", "comparison.txt", "pretrained.safetensors",
+                "finetuned.safetensors", "D_gradual_final.safetensors")
+
+
+@pytest.mark.parametrize("name", _LAB_OUTPUTS)
+def test_a_lab_config_among_its_outputs_is_refused_before_the_work(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    config = _write(Path("out") / name, LAB_CONFIG)
+    calls = []
+    real = cli.run_reversal_experiment
+    monkeypatch.setattr(cli, "run_reversal_experiment", lambda *a, **k: calls.append(a) or real(*a, **k))
+    before = _tree()
+    assert main(["lab", "--config", str(config), "--save-checkpoints", "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output {str(config)!r} is one of the command's inputs\n"
+    assert _tree() == before
+    assert calls == []
+
+
+def test_a_fifo_out_receives_the_report_in_place(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_out_inputs()
+    assert main(["eval", "log.jsonl", "--out", "report.json"]) == 0
+    os.mkfifo("fifo")
+    received = []
+    reader = threading.Thread(target=lambda: received.append(Path("fifo").read_bytes()), daemon=True)
+    reader.start()
+    assert main(["eval", "log.jsonl", "--out", "fifo"]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [Path("report.json").read_bytes()]
+    assert Path("fifo").is_fifo()
+    assert not list(Path().glob(".revla.*.tmp"))
+
+
+def test_a_json_out_that_links_to_a_file_is_written_through(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_out_inputs()
+    assert main(["schedule", "--config", "s.json", "--out", "plain.json"]) == 0
+    _write(Path("target.json"), PREVIOUS)
+    os.symlink("target.json", "link.json")
+    assert main(["schedule", "--config", "s.json", "--out", "link.json"]) == 0
+    assert os.readlink("link.json") == "target.json"
+    assert Path("target.json").read_bytes() == Path("plain.json").read_bytes()
+
+
+def test_a_regular_json_out_is_a_new_file_so_a_hard_link_keeps_the_earlier_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_out_inputs()
+    _write(Path("out.json"), PREVIOUS)
+    os.link("out.json", "kept.json")
+    assert main(["schedule", "--config", "s.json", "--out", "out.json"]) == 0
+    assert Path("kept.json").read_bytes() == PREVIOUS
+    assert json.loads(Path("out.json").read_bytes())["total_steps"] == 12
+
+
+_RUN_CLI_UNDER_A_FILE_SIZE_CAP = """
+import resource, runpy, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # so a write past the cap fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, ({cap}, {cap}))
+sys.path.insert(0, {root!r})
+sys.argv = ["revla", *{argv!r}]
+runpy.run_module("revla.cli", run_name="__main__")
+"""
+FILE_SIZE_CAP = 64  # bytes; every artifact below is larger
+_TINY_LAB = ["lab", "--variant", "D_flip", "--pretrain-steps", "4", "--finetune-steps", "4",
+             "--total-steps", "4", "--stage-length", "2"]
+# each command's earlier run, then a run that would write other bytes to the same --out, given last
+_CAPPED_RUNS = {
+    "inspect": (["inspect", "c.st", "--out", "out.json"], ["inspect", "o.st", "--out", "out.json"]),
+    "eval": (["eval", "log.jsonl", "--out", "out.json"],
+             ["eval", "log.jsonl", "--metric", "grasp", "--out", "out.json"]),
+    "schedule": (["schedule", "--config", "s.json", "--out", "out.json"],
+                 ["schedule", "--total-steps", "20", "--stage-length", "5", "--out", "out.json"]),
+    "merge": (["merge", "c.st", "o.st", "--alpha", "0.5", "--out", "out.st"],
+              ["merge", "c.st", "o.st", "--alpha", "0.3", "--out", "out.st"]),
+    "lab": ([*_TINY_LAB, "--seed", "7", "--out", "out"], [*_TINY_LAB, "--seed", "3", "--out", "out"]),
+}
+
+
+@pytest.mark.parametrize("command", _CAPPED_RUNS)
+def test_a_write_cut_short_leaves_every_earlier_file_as_it_was(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _write_out_inputs()
+    earlier, capped = _CAPPED_RUNS[command]
+    assert main(earlier) == 0
+    capsys.readouterr()
+    out = Path(earlier[-1])
+    assert min(p.stat().st_size for p in (out.iterdir() if out.is_dir() else [out])) > FILE_SIZE_CAP
+    before = _tree()
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    code = _RUN_CLI_UNDER_A_FILE_SIZE_CAP.format(cap=FILE_SIZE_CAP, root=root, argv=capped)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 1
+    assert result.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    assert _tree() == before  # no file changed, and no .revla.*.tmp was left

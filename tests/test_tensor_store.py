@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import revla
 import revla.tensor_store as tensor_store
 from revla.cli import main
 from revla.cores import map_on_cores
@@ -590,8 +591,8 @@ def test_save_to_a_directory_fails_before_creating_a_file(tmp_path, monkeypatch)
     (target / "kept").write_bytes(b"kept")
     ckpt = Checkpoint({"w": np.ones(3)})
     opened = []
-    monkeypatch.setattr(tensor_store, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
-                        raising=False)
+    # the writer that check_output returns is the one place a checkpoint file is opened
+    monkeypatch.setattr(revla, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k), raising=False)
     with pytest.raises(IsADirectoryError) as info:
         save_checkpoint(ckpt, target)
     assert (info.value.filename, info.value.filename2) == (str(target), None)
@@ -604,6 +605,7 @@ def test_save_to_a_directory_fails_before_creating_a_file(tmp_path, monkeypatch)
     save_checkpoint(ckpt, link)
     assert not link.is_symlink() and load_checkpoint(link) == ckpt
     assert [p.name for p in target.iterdir()] == ["kept"]
+    assert len(opened) == 1  # the spy saw the one write that was made
 
 
 def test_save_to_a_fifo_fails_before_creating_a_file(tmp_path, monkeypatch):
@@ -613,8 +615,8 @@ def test_save_to_a_fifo_fails_before_creating_a_file(tmp_path, monkeypatch):
     dangling.symlink_to(tmp_path / "nowhere")
     ckpt = Checkpoint({"w": np.ones(3)})
     opened = []
-    monkeypatch.setattr(tensor_store, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
-                        raising=False)
+    # the writer that check_output returns is the one place a checkpoint file is opened
+    monkeypatch.setattr(revla, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k), raising=False)
     for target in (fifo, link):  # a link to a FIFO is refused too, and neither node is replaced
         with pytest.raises(ValueError, match=f"^{re.escape(repr(str(target)))} is a FIFO, device or socket"):
             save_checkpoint(ckpt, target)
@@ -623,6 +625,7 @@ def test_save_to_a_fifo_fails_before_creating_a_file(tmp_path, monkeypatch):
     # a link that leads nowhere is replaced, as before
     save_checkpoint(ckpt, dangling)
     assert not dangling.is_symlink() and load_checkpoint(dangling) == ckpt
+    assert len(opened) == 1  # the spy saw the one write that was made
 
 
 _names = st.lists(
