@@ -76,7 +76,7 @@ def map_on_cores(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     k = min(len(items), usable_cores())
     if k < 2:
         return [fn(item) for item in items]
-    import pickle  # here, not at load: ``inspect`` reads through this module's ByteRange alone
+    import pickle  # here, not at load: a call that forks no worker needs none
 
     cuts = [len(items) * i // k for i in range(k + 1)]
     slices = [items[start:stop] for start, stop in zip(cuts, cuts[1:])]

@@ -15,10 +15,11 @@ checkpoint's contents.
 Every tensor is one entry: its file tag (``F32``, ``F64``), its shape, and
 its little-endian bytes, which are either left in a loaded file or held in
 memory. A loaded checkpoint keeps its file open and reads each tensor from
-it when the tensor is used, so a merge or a save holds about one input
-tensor at a time on top of what it computes. This module imports numpy only
-where an array is built or compared: a command that reads headers and bytes
-alone never loads it.
+it when the tensor is used. Serializing and saving read the same parts of
+the canonical file: the header, then each tensor's bytes from memory or its
+file. So a merge or a save holds about one input tensor at a time on top of
+what it computes. This module imports numpy only where an array is built or
+compared: a command that reads headers and bytes alone never loads it.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import os
 import struct
 import sys
 import weakref
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from . import check_output
-from .cores import ByteRange
 from .selector import Selector
 
 if TYPE_CHECKING:
@@ -84,10 +85,10 @@ class _Source:
     """An open checkpoint file that tensors are read from when they are used.
 
     Its inode, size and modification time are recorded at open and checked
-    before every read, so a file changed since it was loaded fails instead of
-    yielding a wrong tensor. A same-size rewrite within one timestamp tick of
-    the file system goes unseen. Renaming a new file over the path (as
-    ``save_checkpoint`` does) leaves this open file as it was.
+    before every read, all in ``_Stream.readinto``, so a file changed since it
+    was loaded fails instead of yielding a wrong tensor. A same-size rewrite
+    within one timestamp tick of the file system goes unseen. Renaming a new
+    file over the path (as ``save_checkpoint`` does) leaves this file as it was.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -96,20 +97,47 @@ class _Source:
         weakref.finalize(self, self._file.close)
         self._stamp = self._stat()
         self.size = self._stamp[1]
-        self.head = b""  # the length field and header, once the loader has read them
 
     def _stat(self) -> tuple[int, int, int]:
         st = os.fstat(self._file.fileno())
         return st.st_ino, st.st_size, st.st_mtime_ns
 
-    def read(self, offset: int, nbytes: int) -> bytes:
-        """``nbytes`` bytes from ``offset``, in one new ``bytes`` object; no file offset moves."""
-        if self._stat() == self._stamp:
-            reader = io.BufferedReader(ByteRange(self._file.fileno(), offset, offset + nbytes))
-            data = reader.read(nbytes)
-            if len(data) == nbytes:
-                return data
-        raise CheckpointFormatError(f"{self.path} changed since it was loaded")
+
+class _Stream(io.RawIOBase):
+    """Parts ``(source, offset, nbytes)`` of held ``bytes`` or a file, read in order as one raw stream.
+
+    Each read copies from one part straight into the reader's buffer, so
+    ``io.BufferedReader(stream).read(stream.size)`` holds the parts once, in its result."""
+
+    def __init__(self, parts: Iterable[tuple[_Source | bytes, int, int]]) -> None:
+        # an empty part is left out: a read of no bytes would end a buffered read
+        self._parts = deque(part for part in parts if part[2])
+        self.size = sum(part[2] for part in self._parts)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if not self._parts:
+            return 0
+        src, offset, nbytes = self._parts.popleft()
+        view = memoryview(buffer)[:nbytes]
+        if isinstance(src, bytes):
+            count = len(view)
+            view[:] = memoryview(src)[offset : offset + count]
+        # a file is read positionally, moving no file offset, and one changed or cut short fails
+        elif src._stat() != src._stamp or not (count := os.preadv(src._file.fileno(), [view], offset)):
+            raise CheckpointFormatError(f"{src.path} changed since it was loaded")
+        if count < nbytes:
+            self._parts.appendleft((src, offset + count, nbytes - count))
+        return count
+
+
+def _bytes(source: _Source | bytes, offset: int, nbytes: int) -> bytes:
+    """``nbytes`` from ``offset`` of held ``bytes`` (itself, if all of it) or of a file, read anew."""
+    if isinstance(source, bytes):
+        return source[offset : offset + nbytes]
+    return io.BufferedReader(_Stream([(source, offset, nbytes)])).read(nbytes)
 
 
 class _Stored(NamedTuple):
@@ -128,17 +156,12 @@ class _Stored(NamedTuple):
     def nbytes(self) -> int:
         return _expected_nbytes(self.tag, self.shape)
 
-    def raw(self) -> bytes:
-        """The tensor's little-endian bytes: those held, or a new read of its file."""
-        if isinstance(self.source, bytes):
-            return self.source
-        return self.source.read(self.offset, self.nbytes)
-
     def read(self) -> np.ndarray:
-        """A new read-only array over the tensor's bytes."""
+        """A new read-only array over the tensor's bytes: those held, or a new read of its file."""
         import numpy as np
 
-        return np.ndarray(self.shape, _DTYPE_FOR_TAG[self.tag], self.raw())
+        data = _bytes(self.source, self.offset, self.nbytes)
+        return np.ndarray(self.shape, _DTYPE_FOR_TAG[self.tag], data)
 
 
 class Checkpoint:
@@ -382,7 +405,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointFormatError(
             f"malformed header length: file is only {source.size} bytes"
         )
-    (header_len,) = struct.unpack("<Q", source.read(0, _HEADER_LEN_SIZE))
+    (header_len,) = struct.unpack("<Q", _bytes(source, 0, _HEADER_LEN_SIZE))
     if header_len > _MAX_HEADER_LEN:
         raise CheckpointFormatError(
             f"malformed header length: header of {header_len} bytes exceeds "
@@ -394,8 +417,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"malformed header length: header of {header_len} bytes exceeds "
             f"file size {source.size}"
         )
-    source.head = source.read(0, data_start)
-    metas, metadata = _parse_header(source.head[_HEADER_LEN_SIZE:], source.size - data_start)
+    metas, metadata = _parse_header(_bytes(source, _HEADER_LEN_SIZE, header_len), source.size - data_start)
     tensors = {
         meta.name: _Stored(source, data_start + meta.byte_range[0], meta.shape, meta.dtype)
         for meta in metas
@@ -403,8 +425,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(tensors, metadata or None)
 
 
-def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes]:
-    """The canonical file in order: length-prefixed padded header, then each tensor's bytes."""
+def _canonical(ckpt: Checkpoint) -> list[tuple[_Source | bytes, int, int]]:
+    """The parts of ``ckpt``'s canonical file, for ``_Stream``: the padded header, then each tensor."""
     header: dict[str, object] = {}
     if ckpt.metadata:
         header[_METADATA_KEY] = ckpt.metadata
@@ -416,44 +438,21 @@ def _canonical_parts(ckpt: Checkpoint) -> Iterator[bytes]:
         }
     blob = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     blob += b" " * (-len(blob) % 8)
-    yield struct.pack("<Q", len(blob)) + blob
-    for tensor in ckpt._tensors.values():
-        yield tensor.raw()
-
-
-def _whole_file(ckpt: Checkpoint, head: bytes) -> bytes | None:
-    """``ckpt``'s canonical file read in one piece, if it is one file on disk.
-
-    That holds when every tensor is still in one loaded file whose header
-    is the canonical ``head``, as for a checkpoint loaded from a canonical
-    file and not changed since: that file is then exactly the canonical
-    serialization.
-    """
-    tensors = list(ckpt._tensors.values())
-    if not tensors or not isinstance(tensors[0].source, _Source):
-        return None
-    source = tensors[0].source
-    if source.head != head or not all(tensor.source is source for tensor in tensors):
-        return None
-    return source.read(0, source.size)
+    head = struct.pack("<Q", len(blob)) + blob
+    return [(head, 0, len(head)), *((t.source, t.offset, t.nbytes) for t in ckpt._tensors.values())]
 
 
 def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
     """Canonical byte serialization; equal checkpoints yield equal bytes.
 
-    A checkpoint loaded from a canonical file and not changed since is that
-    file, which is then read in one piece; otherwise the canonical parts are
-    joined once.
-    """
-    parts = _canonical_parts(ckpt)
-    head = next(parts)
-    whole = _whole_file(ckpt, head)
-    if whole is not None:
-        return whole
-    return b"".join([head, *parts])
+    Each tensor's bytes are copied once, from memory or its file, into the
+    one ``bytes`` result, so this holds the checkpoint once."""
+    stream = _Stream(_canonical(ckpt))
+    return io.BufferedReader(stream).read(stream.size)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write the canonical serialization of ``ckpt`` to ``path`` with the writer that
-    ``revla.check_output`` returns for a renamed output: whole or not at all, replacing any link."""
-    check_output(path, renamed=True)(_canonical_parts(ckpt))
+    ``revla.check_output`` returns for a renamed output: whole or not at all, replacing any link.
+    Held tensors are written as they are, and tensors in a file one read at a time."""
+    check_output(path, renamed=True)(_bytes(*part) for part in _canonical(ckpt))

@@ -285,6 +285,11 @@ def _invariant_pair(tmp_path):
     return current, pretrained, path
 
 
+def _with_header_keys_reversed(tmp_path, ckpt):
+    """A file of ``ckpt`` whose header keys, and so its tensors, run in reverse name order."""
+    return write_file(tmp_path, build_file_bytes([(n, ckpt[n]) for n in ckpt.names()[::-1]]), "reversed.st")
+
+
 def test_tensors_cannot_be_made_writable(tmp_path):
     current, pretrained, path = _invariant_pair(tmp_path)
     merged = linear_merge(current, pretrained, MergeSpec(0.3, Selector(["g0.*"])))
@@ -305,12 +310,15 @@ def test_construction_copies_a_writable_source():
     assert ckpt["read_only_view"].tolist() == [1.0, 2.0, 3.0]
 
 
-def test_an_in_memory_tensor_is_read_over_its_held_bytes():
+def test_an_in_memory_tensor_is_read_over_its_held_bytes(monkeypatch):
     ckpt = Checkpoint({"a.w": np.arange(6.0).reshape(2, 3), "b.w": np.ones(4, dtype=np.float32)})
     first, second = ckpt["a.w"], ckpt["a.w"]
     assert first is not second and np.shares_memory(first, second)
     assert not first.flags.writeable and not second.flags.writeable
-    _, *parts = tensor_store._canonical_parts(ckpt)
+    written = []  # what a save hands its writer
+    monkeypatch.setattr(tensor_store, "check_output", lambda path, renamed: written.extend)
+    save_checkpoint(ckpt, "unwritten.st")
+    _, *parts = written
     assert parts[0] is first.base and parts[1] is ckpt["b.w"].base
     assert [type(part) for part in parts] == [bytes, bytes]
 
@@ -354,12 +362,15 @@ def test_merge_holds_each_blended_tensor_once(tmp_path):
 
 
 def test_serializing_a_loaded_canonical_file_copies_nothing(tmp_path):
-    # a load reads only the header, and serializing reads the file once
-    _, _, path = _invariant_pair(tmp_path)  # 16 f64 tensors, 8 MiB
-    assert _traced_peak(load_checkpoint, path) < 64 * 1024
-    file_bytes = path.stat().st_size
-    assert _traced_peak(lambda: serialize_checkpoint(load_checkpoint(path))) <= 1.25 * file_bytes
-    assert serialize_checkpoint(load_checkpoint(path)) == path.read_bytes()
+    # a load reads only the header, and serializing reads the file once into
+    # its result, whether the file is canonical or its header keys are out of order
+    current, _, path = _invariant_pair(tmp_path)  # 16 f64 tensors, 8 MiB
+    reordered = _with_header_keys_reversed(tmp_path, current)
+    for loaded in (path, reordered):
+        assert _traced_peak(load_checkpoint, loaded) < 64 * 1024
+        file_bytes = loaded.stat().st_size
+        assert _traced_peak(lambda: serialize_checkpoint(load_checkpoint(loaded))) <= 1.25 * file_bytes
+        assert serialize_checkpoint(load_checkpoint(loaded)) == path.read_bytes()
 
 
 def test_merge_command_holds_the_blended_bytes_not_its_inputs(tmp_path):
@@ -377,6 +388,17 @@ def _changed_since_loaded(path):
     return pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))} changed since it was loaded$")
 
 
+def _save_fails_as_changed(ckpt, path):
+    """Saving ``ckpt``, loaded from ``path``, fails as changed and leaves its directory as it was."""
+    target = path.with_name("target.st")
+    target.write_bytes(b"old bytes")
+    before = sorted(p.name for p in path.parent.iterdir())
+    with _changed_since_loaded(path):
+        save_checkpoint(ckpt, target)
+    assert target.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in path.parent.iterdir()) == before
+
+
 def test_a_file_rewritten_after_loading_fails(tmp_path):
     path = write_file(tmp_path, build_file_bytes(_entries()))
     ckpt = load_checkpoint(path)
@@ -387,6 +409,7 @@ def test_a_file_rewritten_after_loading_fails(tmp_path):
         ckpt["d.w"]
     with _changed_since_loaded(path):
         serialize_checkpoint(ckpt)
+    _save_fails_as_changed(ckpt, path)
 
 
 def test_a_file_truncated_after_loading_fails(tmp_path, monkeypatch):
@@ -395,10 +418,14 @@ def test_a_file_truncated_after_loading_fails(tmp_path, monkeypatch):
     os.truncate(path, path.stat().st_size - 4)
     with _changed_since_loaded(path):
         ckpt["d.w"]
+    _save_fails_as_changed(ckpt, path)
     # a read that comes back short fails the same way, even if the file looked unchanged
     monkeypatch.setattr(tensor_store._Source, "_stat", lambda source: source._stamp)
     with _changed_since_loaded(path):
         ckpt["d.w"]
+    with _changed_since_loaded(path):
+        serialize_checkpoint(ckpt)
+    _save_fails_as_changed(ckpt, path)  # once the header and the first tensors are written
     assert ckpt["a.w"].tobytes() == _entries()[0][1].tobytes()
 
 
@@ -445,6 +472,7 @@ def test_a_read_leaves_the_file_offset_alone(tmp_path):
 def test_a_read_cut_short_by_the_system_is_resumed_in_one_buffer(tmp_path, monkeypatch):
     # one system call reads less than 2 GiB on Linux; 1,000 bytes stand in for that limit here
     current, _, path = _invariant_pair(tmp_path)
+    reordered = _with_header_keys_reversed(tmp_path, current)
     ckpt, name = load_checkpoint(path), current.names()[0]
     preadv, got = os.preadv, []
     monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: preadv(
@@ -452,6 +480,11 @@ def test_a_read_cut_short_by_the_system_is_resumed_in_one_buffer(tmp_path, monke
     peak = _traced_peak(lambda: got.append(ckpt[name]))
     assert got[0].tobytes() == current[name].tobytes()
     assert peak <= got[0].nbytes + 16 * 1024
+    for loaded in (path, reordered):
+        ckpt, got = load_checkpoint(loaded), []
+        peak = _traced_peak(lambda: got.append(serialize_checkpoint(ckpt)))
+        assert got[0] == path.read_bytes()
+        assert peak <= loaded.stat().st_size + 16 * 1024
 
 
 def _entries():
@@ -506,8 +539,8 @@ def _views_of_a_file_with_bytes_after_it(tmp_path):
     return Checkpoint(tensors)
 
 
-# Each case builds a checkpoint and says whether its tensors all lie in one
-# loaded canonical file, which serializing then reads in one piece.
+# Each case builds a checkpoint and says whether it is the canonical file it
+# was loaded from, left as "ckpt.safetensors", which serializing then equals.
 SERIALIZE_CASES = {
     "canonical file": (lambda tmp: _loaded(tmp, build_file_bytes(_entries())), True),
     "canonical file with metadata": (
@@ -522,7 +555,7 @@ SERIALIZE_CASES = {
         lambda tmp: _loaded_with_header(
             tmp, _header(_entries(), trailing_metadata={"k": "v"}, separators=(",", ":"))),
         False),
-    "empty checkpoint": (lambda tmp: _loaded(tmp, build_file_bytes([])), False),
+    "empty checkpoint": (lambda tmp: _loaded(tmp, build_file_bytes([])), True),
     "one tensor blended": (_one_tensor_blended, False),
     "two tensors swapped within one file": (_two_tensors_swapped, False),
     "tensors from two loaded files": (_tensors_from_two_files, False),
@@ -532,17 +565,14 @@ SERIALIZE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(SERIALIZE_CASES))
-def test_serialize_equals_the_joined_canonical_parts(case, tmp_path, monkeypatch):
-    build, held = SERIALIZE_CASES[case]
+def test_serialize_equals_what_save_writes(case, tmp_path):
+    build, canonical_file = SERIALIZE_CASES[case]
     ckpt = build(tmp_path)
-    reads = []
-    read = tensor_store._Source.read
-    with monkeypatch.context() as patch:
-        patch.setattr(tensor_store._Source, "read",
-                      lambda source, offset, nbytes: reads.append((offset, nbytes)) or read(source, offset, nbytes))
-        canonical = serialize_checkpoint(ckpt)
-    assert canonical == b"".join(tensor_store._canonical_parts(ckpt))
-    assert (reads == [(0, len(canonical))]) == held
+    canonical = serialize_checkpoint(ckpt)
+    save_checkpoint(ckpt, tmp_path / "saved.st")
+    assert canonical == (tmp_path / "saved.st").read_bytes()
+    if canonical_file:
+        assert canonical == (tmp_path / "ckpt.safetensors").read_bytes()
     assert load_checkpoint(write_file(tmp_path, canonical, "canonical.st")) == ckpt
 
 
@@ -557,15 +587,15 @@ def test_checkpoint_equality_is_bitwise():
 def test_failed_save_leaves_target_untouched(tmp_path, monkeypatch):
     ckpt = Checkpoint({"w": np.ones(3)})
 
-    canonical_parts = tensor_store._canonical_parts
+    canonical = tensor_store._canonical
 
     def header_then_fail(ckpt):
-        yield next(canonical_parts(ckpt))
+        yield canonical(ckpt)[0]
         raise OSError("disk full")
 
     existing, fresh = tmp_path / "existing.st", tmp_path / "fresh.st"
     existing.write_bytes(b"old bytes")
-    monkeypatch.setattr(tensor_store, "_canonical_parts", header_then_fail)
+    monkeypatch.setattr(tensor_store, "_canonical", header_then_fail)
     for target in (existing, fresh):
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(ckpt, target)
