@@ -45,7 +45,8 @@ def check_output(path, inputs=(), *, renamed=False):
 
     Return the one function that writes ``path``, from chunks of bytes: whole to a new file renamed over
     it, or in place if ``path`` is a link or not a regular file. A ``renamed`` output is always renamed:
-    it replaces a link, even to a directory, and fails here on a FIFO, device or socket."""
+    it replaces a link, even to a directory, and fails here on a FIFO, device or socket. Given a
+    ``staged`` list, the function leaves a new file at its temporary name, for ``write_together``."""
     try:
         if stat.S_ISDIR((os.lstat if renamed else os.stat)(path).st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -58,18 +59,29 @@ def check_output(path, inputs=(), *, renamed=False):
         raise ValueError(f"output {str(path)!r} is one of the command's inputs")
     in_place = not renamed and (os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path))
 
-    def write(chunks) -> None:
+    def write(chunks, staged=None) -> None:
+        if staged is None:
+            return write_together([(write, chunks)])
         if in_place:
             with open(path, "wb") as fh:
                 fh.writelines(chunks)
             return
-        tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.tmp")
-        fh = open(tmp, "xb")
-        try:
-            with fh:
-                fh.writelines(chunks)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.{len(staged)}.tmp")
+        with open(tmp, "xb") as fh:
+            staged.append((tmp, path))
+            fh.writelines(chunks)
     return write
+
+
+def write_together(writes) -> None:
+    """Stage each ``(write, chunks)``, then rename every file into place; a failure removes them all."""
+    staged = []
+    try:
+        for write, chunks in writes:
+            write(chunks, staged)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise

@@ -57,8 +57,8 @@ render_in_domain_table = _on_first_call(".ood_eval", "render_in_domain_table")
 render_partial_success = _on_first_call(".ood_eval", "render_partial_success")
 
 
-def _write_json(write, payload: dict) -> None:  # ``write`` is one that ``check_output`` returned
-    write([(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")])
+def _json(payload: dict):  # encoded as the writer takes it, so a lab holds one encoded file at a time
+    yield (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -117,7 +117,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         "canonical_sha256": file_digest,
         "metadata": ckpt.metadata,
     }
-    _write_json(write_out, payload)
+    write_out(_json(payload))
     for row in rows:
         print(f"{printable(row['name'])}  {row['dtype']}  {row['shape']}  {row['sha256'][:16]}")
     print(f"tensors: {len(rows)}  canonical sha256: {file_digest[:16]}")
@@ -164,7 +164,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         "boundaries": [[step, alpha] for step, alpha in boundaries],
         "selector": list(selector.patterns),
     }
-    _write_json(write_out, payload)
+    write_out(_json(payload))
     groups = ", ".join(selector.patterns) if selector.patterns else "-"
     print(f"{'step':>8}  {'alpha':>6}  groups")
     for step, alpha in boundaries:
@@ -173,6 +173,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_lab(args: argparse.Namespace) -> int:
+    from . import write_together
     from .toy_lab.experiment import LabConfig
 
     settings = _settings(args)
@@ -182,22 +183,20 @@ def cmd_lab(args: argparse.Namespace) -> int:
     stage_length = settings.pop("stage_length", DEFAULT_LAB_STAGE_LENGTH)
     plans = [plan_for_variant(name, total_steps, stage_length) for name in variants]
     config = LabConfig(**settings)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # every file the lab writes is checked before the first training step
+    Path(args.out).mkdir(exist_ok=True)
+    # one table of the files the lab writes: checked before the first training step, written after the run
+    saved = ["pretrained", "finetuned", *(f"{v}_final" for v in variants)] if args.save_checkpoints else []
+    names = ["shared.json", *(f"report_{v}.json" for v in variants), "comparison.txt",
+             *(f"{name}.safetensors" for name in saved)]
     inputs = [args.config] if args.config else ()
-    write = {name: check_output(out_dir / name, inputs) for name in
-             ["shared.json", *(f"report_{plan.variant_name}.json" for plan in plans), "comparison.txt"]}
-    if args.save_checkpoints:
-        for name in ["pretrained", "finetuned", *(f"{plan.variant_name}_final" for plan in plans)]:
-            check_output(out_dir / f"{name}.safetensors", inputs, renamed=True)
-    checkpoint_dir = out_dir if args.save_checkpoints else None
-    reports, shared_curves = run_reversal_experiment(plans, config, checkpoint_dir=checkpoint_dir)
-    _write_json(write["shared.json"], {"loss_curves": shared_curves})
-    for report in reports:
-        _write_json(write[f"report_{report.variant_name}.json"], report.to_dict())
+    write = {name: check_output(Path(args.out, name), inputs, renamed=name.endswith(".safetensors"))
+             for name in names}
+    reports, shared_curves, checkpoints = run_reversal_experiment(plans, config)
     comparison = render_comparison(reports)
-    write["comparison.txt"]([comparison.encode("utf-8")])
+    chunks = {"shared.json": _json({"loss_curves": shared_curves}), "comparison.txt": [comparison.encode()]}
+    chunks.update((f"report_{report.variant_name}.json", _json(report.to_dict())) for report in reports)
+    chunks.update((f"{name}.safetensors", [serialize_checkpoint(checkpoints[name])]) for name in saved)
+    write_together((write[name], chunks[name]) for name in names)
     print(comparison, end="")
     return 0
 
@@ -244,7 +243,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
             lines.append(f"  {policy}: grasp {grasp_text}  lift {lift_text}\n")
         sections.append("".join(lines))
-    _write_json(write_out, payload)
+    write_out(_json(payload))
     print("\n".join(section for section in sections if section), end="")
     return 0
 

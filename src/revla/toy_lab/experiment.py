@@ -12,14 +12,13 @@ error is measured after each phase.
 
 The plans' phase-3 runs share no state, so ``revla.cores.map_on_cores``
 splits them across the usable cores: forked workers run all but the first
-slice of plans and send back their reports, while the calling process runs
-the first slice itself.
+slice of plans and send back their reports and final checkpoints, while the
+calling process runs the first slice itself. Nothing here writes a file.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ from .. import format_table
 from ..cores import map_on_cores
 from ..merge import selected_pairs
 from ..schedule import MergePlan, apply_stage, stage_boundaries
-from ..tensor_store import Checkpoint, Selector, same_bits, save_checkpoint
+from ..tensor_store import Checkpoint, Selector, same_bits
 from .model import ENCODER_NAMES, ENCODER_PATTERNS, ToyModel, forward
 from .tasks import TASK_A_DEPTH, TASK_B_ACTION, STREAM_EVAL, TaskSpec, make_dataset, stream_rng
 from .training import BATCH_SIZE, PROBE_COUNT, RIDGE_LAMBDA, probe_linear, train
@@ -102,8 +101,7 @@ class _SharedPhases:
     finetuned: Checkpoint
     probe_err_pretrained: float
     probe_err_after_finetune: float
-    pretrain_losses: list[float]
-    finetune_losses: list[float]
+    loss_curves: dict[str, list[float]]  # "pretrain", "finetune"
 
 
 def _shared_phases(config: LabConfig) -> _SharedPhases:
@@ -118,14 +116,14 @@ def _shared_phases(config: LabConfig) -> _SharedPhases:
     model, finetune_losses = train(model, task_b, config.finetune_steps, LEARNING_RATE)
     return _SharedPhases(
         pretrained, model.to_checkpoint(), probe_pre, probe_linear(model, task_a),
-        pretrain_losses, finetune_losses,
+        {"pretrain": pretrain_losses, "finetune": finetune_losses},
     )
 
 
 def _reverse(
-    plan: MergePlan, config: LabConfig, shared: _SharedPhases, checkpoint_dir: Path | None
-) -> ExperimentReport:
-    """Run phase 3 for one plan from the fine-tuned snapshot and return the plan's report."""
+    plan: MergePlan, config: LabConfig, shared: _SharedPhases
+) -> tuple[ExperimentReport, Checkpoint]:
+    """Run phase 3 for one plan from the fine-tuned snapshot; return its report and final checkpoint."""
     task_a = TaskSpec(TASK_A_DEPTH, config.seed)
     task_b = TaskSpec(TASK_B_ACTION, config.seed)
     model = ToyModel.from_checkpoint(shared.finetuned)
@@ -148,9 +146,6 @@ def _reverse(
     x_eval, y_eval = make_dataset(task_b, STREAM_EVAL, EVAL_COUNT)
     task_b_err = float(np.mean((forward(model, x_eval, task_b.head) - y_eval) ** 2))
 
-    if checkpoint_dir is not None:
-        save_checkpoint(final, checkpoint_dir / f"{plan.variant_name}_final.safetensors")
-
     return ExperimentReport(
         variant_name=plan.variant_name,
         seed=config.seed,
@@ -162,35 +157,29 @@ def _reverse(
         stage_alphas=boundaries,
         loss_curves={"reversal": reversal_losses},
         config=config.to_dict(),
-    )
+    ), final
 
 
 def run_reversal_experiment(
-    plans: Sequence[MergePlan],
-    config: LabConfig = LabConfig(),
-    checkpoint_dir: str | Path | None = None,
-) -> tuple[list[ExperimentReport], dict[str, list[float]]]:
+    plans: Sequence[MergePlan], config: LabConfig = LabConfig()
+) -> tuple[list[ExperimentReport], dict[str, list[float]], dict[str, Checkpoint]]:
     """Pretrain and fine-tune once, then run each plan's staged reversal.
 
-    Returns one report per plan, in order, and the shared phases' loss curves
-    (``"pretrain"``, ``"finetune"``). Every plan reverts from the same
-    (fine-tuned, pretrained) pair, so each report equals that of a run with
-    the plan alone. With ``checkpoint_dir`` set, the pair is written there
-    once (``pretrained``, ``finetuned``), and each plan's ``<variant>_final``.
+    Returns one report per plan, in order, the shared phases' loss curves
+    (``"pretrain"``, ``"finetune"``), and the checkpoints made, by name:
+    ``pretrained``, ``finetuned`` and each plan's ``<variant>_final``. Every
+    plan reverts from the same (fine-tuned, pretrained) pair, so each report
+    and final checkpoint equals that of a run with the plan alone.
 
     The reversals run in forked workers, one per usable core, unless there
     is one plan or one usable core. Reports and checkpoints are the same
     either way.
     """
     shared = _shared_phases(config)
-    out = None
-    if checkpoint_dir is not None:
-        out = Path(checkpoint_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(shared.pretrained, out / "pretrained.safetensors")
-        save_checkpoint(shared.finetuned, out / "finetuned.safetensors")
-    reports = map_on_cores(lambda plan: _reverse(plan, config, shared, out), list(plans))
-    return reports, {"pretrain": shared.pretrain_losses, "finetune": shared.finetune_losses}
+    results = map_on_cores(lambda plan: _reverse(plan, config, shared), list(plans))
+    checkpoints = {"pretrained": shared.pretrained, "finetuned": shared.finetuned}
+    checkpoints.update((f"{report.variant_name}_final", final) for report, final in results)
+    return [report for report, _ in results], shared.loss_curves, checkpoints
 
 
 def render_comparison(reports: list[ExperimentReport]) -> str:

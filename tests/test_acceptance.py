@@ -65,7 +65,7 @@ def variant_reports() -> dict:
     if not _REPORT_CACHE:
         plans = [plan_for_variant(variant, 5000, 500)
                  for variant in ("D_flip", "D_gradual", "DS_flip", "DS_gradual")]
-        reports, _ = run_reversal_experiment(plans, LabConfig(seed=CI_SEED))
+        reports, _, _ = run_reversal_experiment(plans, LabConfig(seed=CI_SEED))
         for report in reports:
             _REPORT_CACHE[report.variant_name] = report
     return _REPORT_CACHE

@@ -13,7 +13,7 @@ import revla.toy_lab.experiment as experiment
 from revla import tensor_store
 from revla.merge import MergeSpec, linear_merge
 from revla.schedule import plan_for_variant
-from revla.tensor_store import load_checkpoint, same_bits, select
+from revla.tensor_store import same_bits, select, serialize_checkpoint
 from revla.toy_lab.experiment import LabConfig, run_reversal_experiment
 from revla.toy_lab.model import ToyModel
 
@@ -39,8 +39,14 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def _run_recording_stages(plan, checkpoint_dir):
-    """A one-plan run, which stays in process, and the model each reversal stage trains from."""
+def _serialized(checkpoints: dict) -> dict:
+    """Each checkpoint by name as the bytes ``revla lab --save-checkpoints`` writes for it."""
+    return {name: serialize_checkpoint(ckpt) for name, ckpt in checkpoints.items()}
+
+
+def _run_recording_stages(plan):
+    """A one-plan run, which stays in process, the model each reversal stage trains from, and the
+    checkpoints the run returns."""
     states, real_train = [], experiment.train
 
     def train(*args, **kwargs):
@@ -50,25 +56,23 @@ def _run_recording_stages(plan, checkpoint_dir):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "train", train)
-        (report,), _ = run_reversal_experiment([plan], FAST, checkpoint_dir=checkpoint_dir)
-    return report, [(step, alpha, state)
-                    for (step, alpha), state in zip(report.stage_alphas, states, strict=True)]
+        (report,), _, checkpoints = run_reversal_experiment([plan], FAST)
+    stages = [(step, alpha, state) for (step, alpha), state in zip(report.stage_alphas, states, strict=True)]
+    return report, stages, checkpoints
 
 
 @pytest.fixture(scope="module")
-def gradual_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("ckpts")
+def gradual_run():
     plan = plan_for_variant("DS_gradual", 300, 100)
-    report, stages = _run_recording_stages(plan, out)
-    return plan, report, stages, out
+    return plan, *_run_recording_stages(plan)
 
 
-def test_flip_restores_encoder_from_step_zero(tmp_path):
+def test_flip_restores_encoder_from_step_zero():
     plan = plan_for_variant("DS_flip", 300)
-    report, stages = _run_recording_stages(plan, tmp_path)
+    report, stages, checkpoints = _run_recording_stages(plan)
     assert report.encoder_bitwise_reverted
     assert [stage[:2] for stage in stages] == [(0, 1.0)]
-    pretrained = load_checkpoint(tmp_path / "pretrained.safetensors")
+    pretrained = checkpoints["pretrained"]
     encoder = select(pretrained, plan.selector)
     assert encoder
     assert all(same_bits(stages[0][2][name], pretrained[name]) for name in encoder)
@@ -87,18 +91,18 @@ def test_forgetting_shows_in_probe_ordering(gradual_run):
     assert report.probe_err_pretrained > 0
 
 
-def test_stage_states_equal_direct_interpolation(gradual_run, tmp_path):
+def test_stage_states_equal_direct_interpolation(gradual_run):
     # the experiment's staged encoder must match evaluating the blend
     # formula directly on the (fine-tuned, pretrained) pair at each alpha,
     # for three 100-step stages and for twelve 1-step stages
-    plan, _, stages, out = gradual_run
+    plan, _, stages, checkpoints = gradual_run
     assert [(s, a) for s, a, _ in stages] == [(0, 1 / 3), (100, 2 / 3), (200, 1.0)]
     short_plan = plan_for_variant("D_gradual", 12, 1)
-    _, short_stages = _run_recording_stages(short_plan, tmp_path)
+    _, short_stages, short_checkpoints = _run_recording_stages(short_plan)
     assert [(s, a) for s, a, _ in short_stages] == [(i, (i + 1) / 12) for i in range(12)]
-    for plan, stages, out in ((plan, stages, out), (short_plan, short_stages, tmp_path)):
-        pretrained = load_checkpoint(out / "pretrained.safetensors")
-        finetuned = load_checkpoint(out / "finetuned.safetensors")
+    for plan, stages, checkpoints in ((plan, stages, checkpoints),
+                                      (short_plan, short_stages, short_checkpoints)):
+        pretrained, finetuned = checkpoints["pretrained"], checkpoints["finetuned"]
         for _, alpha, staged in stages:
             direct = linear_merge(finetuned, pretrained, MergeSpec(alpha, plan.selector))
             encoder = select(direct, plan.selector)
@@ -113,9 +117,8 @@ def test_stage_states_equal_direct_interpolation(gradual_run, tmp_path):
 
 
 def test_final_checkpoint_encoder_equals_pretrained(gradual_run):
-    _, _, _, out = gradual_run
-    pretrained = load_checkpoint(out / "pretrained.safetensors")
-    final = load_checkpoint(out / "DS_gradual_final.safetensors")
+    _, _, _, checkpoints = gradual_run
+    pretrained, final = checkpoints["pretrained"], checkpoints["DS_gradual_final"]
     encoder = [n for n in final.names() if n.startswith("vision.")]
     assert encoder
     for name in encoder:
@@ -126,7 +129,7 @@ def test_final_checkpoint_encoder_equals_pretrained(gradual_run):
 @pytest.mark.parametrize("variant", sorted(VARIANT_PLANS))
 def test_all_variants_revert_bitwise(variant):
     name, total, stage = VARIANT_PLANS[variant]
-    (report,), _ = run_reversal_experiment([plan_for_variant(name, total, stage)], FAST)
+    (report,), _, _ = run_reversal_experiment([plan_for_variant(name, total, stage)], FAST)
     assert report.encoder_bitwise_reverted
     assert report.probe_err_after_reversal == report.probe_err_pretrained
 
@@ -146,31 +149,31 @@ def test_report_fields_and_loss_curve_lengths(gradual_run):
     assert len(report.loss_curves["reversal"]) == 300
     assert report.stage_alphas == [(0, 1 / 3), (100, 2 / 3), (200, 1.0)]
     # the shared phases' curves come back once per call, beside the reports
-    _, shared_curves = run_reversal_experiment([plan], FAST)
+    _, shared_curves, _ = run_reversal_experiment([plan], FAST)
     assert {name: len(curve) for name, curve in shared_curves.items()} == {
         "pretrain": FAST.pretrain_steps, "finetune": FAST.finetune_steps}
 
 
-def test_plans_sharing_one_call_match_separate_calls(tmp_path):
+def test_plans_sharing_one_call_match_separate_calls():
     # the shared phases run once, yet every plan's report and checkpoints
     # must equal those of a call with that plan alone
     plans = [plan_for_variant(*VARIANT_PLANS[v]) for v in sorted(VARIANT_PLANS)]
-    together, shared_curves = run_reversal_experiment(plans, FAST, checkpoint_dir=tmp_path / "together")
+    together, shared_curves, together_checkpoints = run_reversal_experiment(plans, FAST)
+    together_checkpoints = _serialized(together_checkpoints)
     assert [r.variant_name for r in together] == [p.variant_name for p in plans]
+    assert list(together_checkpoints) == ["pretrained", "finetuned",
+                                          *(f"{p.variant_name}_final" for p in plans)]
     for plan, report in zip(plans, together):
-        (alone,), alone_curves = run_reversal_experiment(
-            [plan], FAST, checkpoint_dir=tmp_path / plan.variant_name)
+        (alone,), alone_curves, alone_checkpoints = run_reversal_experiment([plan], FAST)
         assert _encoded(report) == _encoded(alone)
         assert alone_curves == shared_curves
-        for name in ("pretrained", "finetuned", f"{plan.variant_name}_final"):
-            assert (tmp_path / "together" / f"{name}.safetensors").read_bytes() == (
-                tmp_path / plan.variant_name / f"{name}.safetensors").read_bytes()
-    assert len(list((tmp_path / "together").iterdir())) == 2 + len(plans)
+        names = ("pretrained", "finetuned", f"{plan.variant_name}_final")
+        assert _serialized(alone_checkpoints) == {name: together_checkpoints[name] for name in names}
 
 
 def test_reports_of_one_call_share_no_loss_list():
     plans = [plan_for_variant("D_flip", 300), plan_for_variant("DS_gradual", 300, 100)]
-    (first, second), shared_curves = run_reversal_experiment(plans, FAST)
+    (first, second), shared_curves, _ = run_reversal_experiment(plans, FAST)
     before = _encoded(second)
     for curve in (*first.loss_curves.values(), *shared_curves.values()):
         curve.append(-1.0)
@@ -179,8 +182,8 @@ def test_reports_of_one_call_share_no_loss_list():
 
 def test_experiment_is_bitwise_deterministic():
     plan = plan_for_variant("D_flip", 300)
-    (first,), first_curves = run_reversal_experiment([plan], FAST)
-    (second,), second_curves = run_reversal_experiment([plan], FAST)
+    (first,), first_curves, _ = run_reversal_experiment([plan], FAST)
+    (second,), second_curves, _ = run_reversal_experiment([plan], FAST)
     assert _encoded(first) == _encoded(second)
     assert first_curves == second_curves
 
@@ -205,11 +208,32 @@ def test_report_json_shape(gradual_run):
 
 def test_forked_and_sequential_runs_give_the_same_reports(monkeypatch, two_cores):
     plans = [plan_for_variant(*VARIANT_PLANS[v]) for v in sorted(VARIANT_PLANS)]
-    forked, forked_curves = run_reversal_experiment(plans, FAST)
+    forked, forked_curves, forked_checkpoints = run_reversal_experiment(plans, FAST)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    sequential, sequential_curves = run_reversal_experiment(plans, FAST)
+    sequential, sequential_curves, sequential_checkpoints = run_reversal_experiment(plans, FAST)
     assert [_encoded(r) for r in forked] == [_encoded(r) for r in sequential]
     assert forked_curves == sequential_curves
+    assert len(forked_checkpoints) == 2 + len(plans)
+    assert _serialized(forked_checkpoints) == _serialized(sequential_checkpoints)
+
+
+def test_every_result_comes_back_without_a_file_written(tmp_path, monkeypatch, two_cores):
+    # the library computes and the CLI writes: a call that reached any output check would fail,
+    # in the caller or in a forked worker
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the lab library checked an output: {args}")
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "revla" and m]:
+        if "check_output" in vars(module):
+            monkeypatch.setattr(module, "check_output", refuse)
+    monkeypatch.chdir(tmp_path)
+    plans = [plan_for_variant("D_flip", 300), plan_for_variant("DS_gradual", 300, 100)]
+    reports, shared_curves, checkpoints = run_reversal_experiment(plans, FAST)
+    assert [r.variant_name for r in reports] == ["D_flip", "DS_gradual"]
+    assert all(r.encoder_bitwise_reverted for r in reports)
+    assert list(shared_curves) == ["pretrain", "finetune"]
+    assert list(checkpoints) == ["pretrained", "finetuned", "D_flip_final", "DS_gradual_final"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def _plan_fact_calls(stage_length: int) -> Counter:

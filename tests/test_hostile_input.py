@@ -23,6 +23,7 @@ import errno
 import io
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -276,12 +277,14 @@ def test_a_tensor_name_cannot_split_an_inspect_row(tmp_path, capsys):
 
 
 # Each command with the inputs it reads (written by ``_write_out_inputs``) and, where it
-# has one, the cli name through which it reads its first input.
+# has one, the cli name through which it reads its first input or, for lab, starts its work.
 _OUT_COMMANDS = {
     "inspect": (["inspect", "c.st"], ["c.st"], "load_checkpoint"),
     "eval": (["eval", "log.jsonl"], ["log.jsonl"], "parse_episode_log"),
     "schedule": (["schedule", "--config", "s.json"], ["s.json"], None),
     "merge": (["merge", "c.st", "o.st", "--alpha", "0.5"], ["c.st", "o.st"], "load_checkpoint"),
+    "lab": (["lab", "--variant", "D_flip", "--pretrain-steps", "4", "--finetune-steps", "4",
+             "--total-steps", "4"], [], "run_reversal_experiment"),
 }
 
 
@@ -323,9 +326,10 @@ _OUT_CASES = {  # how each case makes its --out, in the working directory
 }
 # merge's rename replaces a link to a directory, and keeps its inputs as they were
 _JSON_ONLY = ("directory link", "own input", "own input, hard link", "own input, symlink")
-_OUT_ROWS = [(command, case) for command in _OUT_COMMANDS
+_OUT_ROWS = [(command, case) for command in _OUT_COMMANDS if command != "lab"
              for case in ("directory", "long name", "missing parent",
                           *(("fifo",) if command == "merge" else _JSON_ONLY))]
+_OUT_ROWS.append(("lab", "missing parent"))  # lab makes its --out directory, but not a missing parent
 
 
 def _write_out_inputs() -> None:
@@ -444,6 +448,19 @@ _CAPPED_RUNS = {
 }
 
 
+def _run_under_a_file_size_cap(argv: list[str], cap: int) -> None:
+    """Run ``revla argv`` in a child whose files cannot grow past ``cap`` bytes; it must exit 1 with
+    one line and leave the working directory's tree as it was."""
+    before = _tree()
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    code = _RUN_CLI_UNDER_A_FILE_SIZE_CAP.format(cap=cap, root=root, argv=argv)
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 1
+    assert result.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    assert _tree() == before  # no file changed, and no .revla.*.tmp was left
+
+
 @pytest.mark.parametrize("command", _CAPPED_RUNS)
 def test_a_write_cut_short_leaves_every_earlier_file_as_it_was(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
@@ -453,11 +470,22 @@ def test_a_write_cut_short_leaves_every_earlier_file_as_it_was(tmp_path, monkeyp
     capsys.readouterr()
     out = Path(earlier[-1])
     assert min(p.stat().st_size for p in (out.iterdir() if out.is_dir() else [out])) > FILE_SIZE_CAP
-    before = _tree()
-    root = str(Path(revla.__file__).resolve().parent.parent)
-    code = _RUN_CLI_UNDER_A_FILE_SIZE_CAP.format(cap=FILE_SIZE_CAP, root=root, argv=capped)
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True,
-                            timeout=120)
-    assert result.returncode == 1
-    assert result.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
-    assert _tree() == before  # no file changed, and no .revla.*.tmp was left
+    _run_under_a_file_size_cap(capped, FILE_SIZE_CAP)
+
+
+LAB_FILE_SIZE_CAP = 1300  # bytes: the seed-3 lab below writes a smaller shared.json, then a larger report
+_CAPPED_LAB = ["lab", "--variant", "D_flip", "--pretrain-steps", "20", "--finetune-steps", "20",
+               "--total-steps", "40"]
+
+
+def test_a_lab_cut_short_after_a_file_that_fits_leaves_the_earlier_run_whole(tmp_path, monkeypatch, capsys):
+    # the lab's files are written as one set: a report that fails after shared.json was written whole
+    # must not leave the new shared.json beside the earlier run's report
+    monkeypatch.chdir(tmp_path)
+    assert main([*_CAPPED_LAB, "--seed", "3", "--out", "uncapped"]) == 0
+    sizes = {p.name: p.stat().st_size for p in Path("uncapped").iterdir()}
+    assert sizes["shared.json"] < LAB_FILE_SIZE_CAP < sizes["report_D_flip.json"]
+    shutil.rmtree("uncapped")
+    assert main([*_CAPPED_LAB, "--seed", "7", "--out", "out"]) == 0
+    capsys.readouterr()
+    _run_under_a_file_size_cap([*_CAPPED_LAB, "--seed", "3", "--out", "out"], LAB_FILE_SIZE_CAP)
