@@ -43,8 +43,9 @@ def format_table(rows: list[tuple[str, ...]]) -> str:
 def check_output(path, inputs=(), *, renamed=False):
     """Fail, naming only ``path``, on a directory, a refused name, a missing directory or one of ``inputs``.
 
-    Return the one function that writes ``path``, from chunks of bytes: whole to a new file renamed over
-    it, or in place if ``path`` is a link or not a regular file. A ``renamed`` output is always renamed:
+    Return the one function that writes ``path``, from chunks: ``bytes``, or a function that copies its
+    part into the open file it is given. The file is written whole to a new file renamed over ``path``,
+    or in place if ``path`` is a link or not a regular file. A ``renamed`` output is always renamed:
     it replaces a link, even to a directory, and fails here on a FIFO, device or socket. Given a
     ``staged`` list, the function leaves a new file at its temporary name, for ``write_together``."""
     try:
@@ -64,20 +65,32 @@ def check_output(path, inputs=(), *, renamed=False):
             return write_together([(write, chunks)])
         if in_place:
             with open(path, "wb") as fh:
-                fh.writelines(chunks)
+                _write_chunks(fh, chunks)
             return
         tmp = Path(path).with_name(f".revla.{os.getpid()}.{threading.get_ident()}.{len(staged)}.tmp")
         with open(tmp, "xb") as fh:
             staged.append((tmp, path))
-            fh.writelines(chunks)
+            _write_chunks(fh, chunks)
+    write.in_place = in_place
     return write
 
 
+def _write_chunks(fh, chunks) -> None:
+    for chunk in chunks:
+        if callable(chunk):
+            fh.flush()  # so the copy lands after every byte written before it
+            chunk(fh)
+        else:
+            fh.write(chunk)
+
+
 def write_together(writes) -> None:
-    """Stage each ``(write, chunks)``, then rename every file into place; a failure removes them all."""
+    """Stage each ``(write, chunks)`` whose output is renamed, then write each in-place one, then rename
+    every staged file into place. A failure removes every staged file, and one while staging leaves
+    every in-place output as it was."""
     staged = []
     try:
-        for write, chunks in writes:
+        for write, chunks in sorted(writes, key=lambda pair: pair[0].in_place):
             write(chunks, staged)
         for tmp, path in staged:
             os.replace(tmp, path)

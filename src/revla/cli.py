@@ -57,8 +57,12 @@ render_in_domain_table = _on_first_call(".ood_eval", "render_in_domain_table")
 render_partial_success = _on_first_call(".ood_eval", "render_partial_success")
 
 
-def _json(payload: dict):  # encoded as the writer takes it, so a lab holds one encoded file at a time
-    yield (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+def _json(payload: dict):
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\n"`` as UTF-8, one encoder piece at a time,
+    so the writer holds about one piece of the file, not the file."""
+    for piece in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload):
+        yield piece.encode("utf-8")
+    yield b"\n"
 
 
 def _settings(args: argparse.Namespace) -> dict:

@@ -73,7 +73,8 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
     Every selected element becomes ``(1 - alpha) * current + alpha *
     pretrained``, evaluated in the tensor's dtype. Unselected tensors are
     copied from ``current`` byte for byte; of a loaded checkpoint they stay
-    unread in its file.
+    unread in its file, and ``save_checkpoint`` has the kernel copy them
+    from it.
     """
     pairs = selected_pairs(current, pretrained, spec.selector)
     return current.replace({name: blend(cur, pre, spec.alpha) for name, cur, pre in pairs})

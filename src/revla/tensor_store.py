@@ -15,15 +15,18 @@ checkpoint's contents.
 Every tensor is one entry: its file tag (``F32``, ``F64``), its shape, and
 its little-endian bytes, which are either left in a loaded file or held in
 memory. A loaded checkpoint keeps its file open and reads each tensor from
-it when the tensor is used. Serializing and saving read the same parts of
+it when the tensor is used. Serializing and saving take the same parts of
 the canonical file: the header, then each tensor's bytes from memory or its
-file. So a merge or a save holds about one input tensor at a time on top of
-what it computes. This module imports numpy only where an array is built or
-compared: a command that reads headers and bytes alone never loads it.
+file. Serializing reads each part into its one result. Saving writes held
+bytes as they are and has the kernel copy each tensor still in its file
+(``os.copy_file_range``), so a merge or a save holds what it computes and
+no unchanged tensor. This module imports numpy only where an array is built
+or compared: a command that reads headers and bytes alone never loads it.
 """
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import math
@@ -52,6 +55,8 @@ _TAG_FOR_CHAR = {"f": "F32", "d": "F64"}  # numpy's type codes of float32 and fl
 # numpy builds no array whose nonzero dimensions and item size multiply past
 # its index type, intp, which is Py_ssize_t
 _MAX_INTP = sys.maxsize
+# what os.copy_file_range raises where the kernel cannot copy between two files; seccomp filters give EPERM
+_NO_KERNEL_COPY = frozenset({errno.EXDEV, errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP, errno.EPERM})
 
 
 def _too_many_dims(ndim: int) -> bool:
@@ -85,8 +90,8 @@ class _Source:
     """An open checkpoint file that tensors are read from when they are used.
 
     Its inode, size and modification time are recorded at open and checked
-    before every read, all in ``_Stream.readinto``, so a file changed since it
-    was loaded fails instead of yielding a wrong tensor. A same-size rewrite
+    by ``checked`` before every read or copy, so a file changed since it was
+    loaded fails instead of yielding a wrong tensor. A same-size rewrite
     within one timestamp tick of the file system goes unseen. Renaming a new
     file over the path (as ``save_checkpoint`` does) leaves this file as it was.
     """
@@ -101,6 +106,15 @@ class _Source:
     def _stat(self) -> tuple[int, int, int]:
         st = os.fstat(self._file.fileno())
         return st.st_ino, st.st_size, st.st_mtime_ns
+
+    def checked(self) -> int:
+        """The file's descriptor, once its inode, size and modification time are found as loaded."""
+        if self._stat() != self._stamp:
+            raise self.changed()
+        return self._file.fileno()
+
+    def changed(self) -> CheckpointFormatError:
+        return CheckpointFormatError(f"{self.path} changed since it was loaded")
 
 
 class _Stream(io.RawIOBase):
@@ -126,8 +140,8 @@ class _Stream(io.RawIOBase):
             count = len(view)
             view[:] = memoryview(src)[offset : offset + count]
         # a file is read positionally, moving no file offset, and one changed or cut short fails
-        elif src._stat() != src._stamp or not (count := os.preadv(src._file.fileno(), [view], offset)):
-            raise CheckpointFormatError(f"{src.path} changed since it was loaded")
+        elif not (count := os.preadv(src.checked(), [view], offset)):
+            raise src.changed()
         if count < nbytes:
             self._parts.appendleft((src, offset + count, nbytes - count))
         return count
@@ -138,6 +152,24 @@ def _bytes(source: _Source | bytes, offset: int, nbytes: int) -> bytes:
     if isinstance(source, bytes):
         return source[offset : offset + nbytes]
     return io.BufferedReader(_Stream([(source, offset, nbytes)])).read(nbytes)
+
+
+def _copy(source: _Source, offset: int, nbytes: int, out) -> None:
+    """Copy ``nbytes`` from ``offset`` of a loaded file to the end of the open file ``out``, in the kernel.
+
+    The source offset is passed, so no file offset of ``source`` moves. A copy that finds no byte fails
+    as changed, a short one is resumed, and where the kernel cannot copy, the rest is read and written."""
+    while nbytes:
+        try:
+            count = os.copy_file_range(source.checked(), out.fileno(), nbytes, offset)
+        except OSError as exc:
+            if exc.errno not in _NO_KERNEL_COPY:
+                raise
+            out.write(_bytes(source, offset, nbytes))
+            return
+        if not count:
+            raise source.changed()
+        offset, nbytes = offset + count, nbytes - count
 
 
 class _Stored(NamedTuple):
@@ -454,5 +486,13 @@ def serialize_checkpoint(ckpt: Checkpoint) -> bytes:
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write the canonical serialization of ``ckpt`` to ``path`` with the writer that
     ``revla.check_output`` returns for a renamed output: whole or not at all, replacing any link.
-    Held tensors are written as they are, and tensors in a file one read at a time."""
-    check_output(path, renamed=True)(_bytes(*part) for part in _canonical(ckpt))
+    Held tensors are written as they are; each tensor in a file is copied from it by the kernel
+    (``_copy``), or read and written where the kernel cannot copy, so no unchanged tensor is held."""
+    check_output(path, renamed=True)(_chunk(*part) for part in _canonical(ckpt))
+
+
+def _chunk(source: _Source | bytes, offset: int, nbytes: int):
+    """A part as the writer takes it: held ``bytes``, or a function that copies it from its file."""
+    if isinstance(source, bytes):
+        return source[offset : offset + nbytes]
+    return lambda out: _copy(source, offset, nbytes, out)

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from synthetic_episodes import expand_cell, to_json_obj, write_episode_log
 import revla
 import revla.ood_eval as ood_eval
 import revla.toy_lab.experiment as experiment
+from revla import cli
 from revla.cli import main
 from revla.tensor_store import Checkpoint, load_checkpoint, save_checkpoint, serialize_checkpoint
 from revla.toy_lab.training import TrainingDiverged
@@ -661,6 +663,54 @@ def test_eval_is_idempotent(tmp_path):
     for out in outs:
         assert main(["eval", str(log), "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _json_dumps_of_itself(path) -> bool:
+    """Whether the file at ``path`` is ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` of its payload."""
+    raw = Path(path).read_bytes()
+    return raw == (json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_every_json_artifact_is_json_dumps_of_its_payload(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.st"
+    save_checkpoint(Checkpoint({"vision.dïno.w": np.arange(3.0), "llm.w": np.ones(2, np.float32)},
+                               metadata={"modèle": "ReVLA – 7.5B"}), ckpt)
+    log = tmp_path / "log.jsonl"
+    write_episode_log(expand_cell("Öctö-VLA", "pear", "single", episodes=4, lift_successes=1, grasp_successes=3)
+                      + expand_cell("OpenVLA", "pear", "single", episodes=4, lift_successes=2), log)
+    runs = {
+        "inspect.json": ["inspect", str(ckpt)],
+        "eval.json": ["eval", str(log), "--baseline", "OpenVLA"],
+        "schedule.json": ["schedule", "--total-steps", "12", "--stage-length", "4", "--select", "vision.dïno.*"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    assert main(["lab", "--variant", "all", "--seed", "7", "--out", str(tmp_path / "lab"), *LAB_FAST]) == 0
+    capsys.readouterr()
+    lab = sorted((tmp_path / "lab").glob("*.json"))
+    assert len(lab) == 5
+    for path in [*(tmp_path / name for name in runs), *lab]:
+        assert _json_dumps_of_itself(path), path
+    assert "\\u00d6ct\\u00f6-VLA" in (tmp_path / "eval.json").read_text()
+
+
+def test_a_json_artifact_is_written_one_piece_at_a_time(tmp_path):
+    # the shape of a lab's shared.json: two curves of 5,000 floats
+    rng = np.random.default_rng(5)
+    payload = {"loss_curves": {"finetune": rng.random(5000).tolist(), "pretrain": rng.random(5000).tolist()}}
+    whole, pieces = tmp_path / "whole.json", tmp_path / "pieces.json"
+    peaks = {}
+    for path, chunks in ((whole, lambda: [(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()]),
+                         (pieces, lambda: cli._json(payload))):
+        write = revla.check_output(path)
+        tracemalloc.start()
+        try:
+            write(chunks())
+            peaks[path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert pieces.read_bytes() == whole.read_bytes()
+    assert peaks[pieces] < peaks[whole] / 3
 
 
 def test_merged_checkpoint_loads_back(checkpoint_pair, tmp_path):

@@ -25,6 +25,7 @@ import json
 import os
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
@@ -40,7 +41,7 @@ from synthetic_episodes import expand_cell, write_episode_log
 import revla
 from revla import cli
 from revla.cli import main
-from revla.tensor_store import Checkpoint, save_checkpoint
+from revla.tensor_store import Checkpoint, load_checkpoint, save_checkpoint
 
 DEEP = b"[" * 100_000  # deeper than the recursion limit
 HOSTILE = (
@@ -435,7 +436,19 @@ runpy.run_module("revla.cli", run_name="__main__")
 FILE_SIZE_CAP = 64  # bytes; every artifact below is larger
 _TINY_LAB = ["lab", "--variant", "D_flip", "--pretrain-steps", "4", "--finetune-steps", "4",
              "--total-steps", "4", "--stage-length", "2"]
-# each command's earlier run, then a run that would write other bytes to the same --out, given last
+_DINO_MERGE = ["merge", "c.st", "o.st", "--select", "vision.dino.*", "--alpha"]
+
+
+def _inside_the_copied_tensor(out: Path) -> int:
+    """A cap half way into ``llm.w`` of the checkpoint ``out``: the tensor a DINO merge leaves in
+    its file, so the save copies it in the kernel."""
+    (llm,) = (meta for meta in load_checkpoint(out).metas() if meta.name == "llm.w")
+    data_start = 8 + struct.unpack("<Q", out.read_bytes()[:8])[0]
+    return data_start + sum(llm.byte_range) // 2
+
+
+# each command's earlier run, then a run that would write other bytes to the same --out, given last,
+# then, where it is not FILE_SIZE_CAP, the cap as a function of the earlier run's --out
 _CAPPED_RUNS = {
     "inspect": (["inspect", "c.st", "--out", "out.json"], ["inspect", "o.st", "--out", "out.json"]),
     "eval": (["eval", "log.jsonl", "--out", "out.json"],
@@ -445,6 +458,8 @@ _CAPPED_RUNS = {
     "merge": (["merge", "c.st", "o.st", "--alpha", "0.5", "--out", "out.st"],
               ["merge", "c.st", "o.st", "--alpha", "0.3", "--out", "out.st"]),
     "lab": ([*_TINY_LAB, "--seed", "7", "--out", "out"], [*_TINY_LAB, "--seed", "3", "--out", "out"]),
+    "merge-copy": ([*_DINO_MERGE, "0.5", "--out", "out.st"], [*_DINO_MERGE, "0.3", "--out", "out.st"],
+                   _inside_the_copied_tensor),
 }
 
 
@@ -465,12 +480,13 @@ def _run_under_a_file_size_cap(argv: list[str], cap: int) -> None:
 def test_a_write_cut_short_leaves_every_earlier_file_as_it_was(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     _write_out_inputs()
-    earlier, capped = _CAPPED_RUNS[command]
+    earlier, capped, *cap_of = _CAPPED_RUNS[command]
     assert main(earlier) == 0
     capsys.readouterr()
     out = Path(earlier[-1])
-    assert min(p.stat().st_size for p in (out.iterdir() if out.is_dir() else [out])) > FILE_SIZE_CAP
-    _run_under_a_file_size_cap(capped, FILE_SIZE_CAP)
+    cap = cap_of[0](out) if cap_of else FILE_SIZE_CAP
+    assert min(p.stat().st_size for p in (out.iterdir() if out.is_dir() else [out])) > cap
+    _run_under_a_file_size_cap(capped, cap)
 
 
 LAB_FILE_SIZE_CAP = 1300  # bytes: the seed-3 lab below writes a smaller shared.json, then a larger report
@@ -489,3 +505,17 @@ def test_a_lab_cut_short_after_a_file_that_fits_leaves_the_earlier_run_whole(tmp
     assert main([*_CAPPED_LAB, "--seed", "7", "--out", "out"]) == 0
     capsys.readouterr()
     _run_under_a_file_size_cap([*_CAPPED_LAB, "--seed", "3", "--out", "out"], LAB_FILE_SIZE_CAP)
+
+
+def test_a_lab_cut_short_leaves_an_in_place_output_as_it_was(tmp_path, monkeypatch, capsys):
+    # shared.json comes first in the lab's table of files, but as a symbolic link it is written in place,
+    # so only after every renamed file is staged: a report that fails must leave the link's target alone
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    os.symlink(os.path.join("..", "target.json"), Path("out", "shared.json"))
+    assert main([*_CAPPED_LAB, "--seed", "7", "--out", "out"]) == 0
+    capsys.readouterr()
+    earlier = Path("target.json").read_bytes()
+    _run_under_a_file_size_cap([*_CAPPED_LAB, "--seed", "3", "--out", "out"], LAB_FILE_SIZE_CAP)
+    assert Path("target.json").read_bytes() == earlier
+    assert Path("out", "shared.json").is_symlink()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -389,17 +390,29 @@ def _changed_since_loaded(path):
 
 
 def _save_fails_as_changed(ckpt, path):
-    """Saving ``ckpt``, loaded from ``path``, fails as changed and leaves its directory as it was."""
+    """Saving ``ckpt``, loaded from ``path``, fails as changed in the kernel-copy path and leaves its
+    directory as it was."""
     target = path.with_name("target.st")
     target.write_bytes(b"old bytes")
     before = sorted(p.name for p in path.parent.iterdir())
-    with _changed_since_loaded(path):
+    copy, failed = tensor_store._copy, []
+
+    def recording_copy(*args):
+        try:
+            copy(*args)
+        except CheckpointFormatError:
+            failed.append(args[0].path)
+            raise
+
+    with pytest.MonkeyPatch.context() as patch, _changed_since_loaded(path):
+        patch.setattr(tensor_store, "_copy", recording_copy)
         save_checkpoint(ckpt, target)
+    assert failed == [path]
     assert target.read_bytes() == b"old bytes"
     assert sorted(p.name for p in path.parent.iterdir()) == before
 
 
-def test_a_file_rewritten_after_loading_fails(tmp_path):
+def test_a_file_rewritten_after_loading_fails(tmp_path, monkeypatch):
     path = write_file(tmp_path, build_file_bytes(_entries()))
     ckpt = load_checkpoint(path)
     raw, stat = path.read_bytes(), path.stat()
@@ -419,13 +432,15 @@ def test_a_file_truncated_after_loading_fails(tmp_path, monkeypatch):
     with _changed_since_loaded(path):
         ckpt["d.w"]
     _save_fails_as_changed(ckpt, path)
-    # a read that comes back short fails the same way, even if the file looked unchanged
+    # a read or copy that comes back short fails the same way, even if the file looked unchanged
     monkeypatch.setattr(tensor_store._Source, "_stat", lambda source: source._stamp)
     with _changed_since_loaded(path):
         ckpt["d.w"]
     with _changed_since_loaded(path):
         serialize_checkpoint(ckpt)
+    counts = _copy_file_range_calls(monkeypatch)
     _save_fails_as_changed(ckpt, path)  # once the header and the first tensors are written
+    assert counts == [48, 16, 8, 4]  # a.w and b.w whole, then d.w: 4 of its 8 bytes, then none
     assert ckpt["a.w"].tobytes() == _entries()[0][1].tobytes()
 
 
@@ -466,6 +481,7 @@ def test_a_read_leaves_the_file_offset_alone(tmp_path):
     os.lseek(fd, 3, os.SEEK_SET)
     assert ckpt["b.w"].tobytes() == _entries()[1][1].tobytes()
     serialize_checkpoint(ckpt)
+    save_checkpoint(ckpt, tmp_path / "saved.st")
     assert os.lseek(fd, 0, os.SEEK_CUR) == 3
 
 
@@ -485,6 +501,68 @@ def test_a_read_cut_short_by_the_system_is_resumed_in_one_buffer(tmp_path, monke
         peak = _traced_peak(lambda: got.append(serialize_checkpoint(ckpt)))
         assert got[0] == path.read_bytes()
         assert peak <= loaded.stat().st_size + 16 * 1024
+
+
+def _half_blended(tmp_path):
+    """A checkpoint whose held and still-in-file tensors alternate, and a loaded copy of its canonical file."""
+    current, pretrained, path = _invariant_pair(tmp_path)
+    loaded = load_checkpoint(path)
+    ckpt = loaded.replace({name: pretrained[name] for name in loaded.names()[::2]})
+    return ckpt, serialize_checkpoint(ckpt)
+
+
+def _copy_file_range_calls(monkeypatch, limit=None, fail=None):
+    """Record each ``os.copy_file_range`` call's byte count; cap each at ``limit`` bytes, and make every
+    second call of a part fail with ``fail``'s errno."""
+    copy_file_range, counts = os.copy_file_range, []
+
+    def copy(src, dst, count, offset):
+        counts.append(count)
+        if fail is not None and len(counts) % 2 == 0:
+            raise OSError(fail, os.strerror(fail))
+        return copy_file_range(src, dst, count if limit is None else min(count, limit), offset)
+
+    monkeypatch.setattr(os, "copy_file_range", copy)
+    return counts
+
+
+def test_save_copies_each_tensor_in_a_file_in_the_kernel(tmp_path, monkeypatch):
+    ckpt, canonical = _half_blended(tmp_path)
+    counts = _copy_file_range_calls(monkeypatch)
+    save_checkpoint(ckpt, tmp_path / "saved.st")
+    assert (tmp_path / "saved.st").read_bytes() == canonical
+    assert counts == [256 * 256 * 8] * 8  # the eight tensors left in their file, one call each
+
+
+def test_a_copy_cut_short_by_the_system_is_resumed(tmp_path, monkeypatch):
+    ckpt, canonical = _half_blended(tmp_path)
+    counts = _copy_file_range_calls(monkeypatch, limit=1000)
+    save_checkpoint(ckpt, tmp_path / "saved.st")
+    assert (tmp_path / "saved.st").read_bytes() == canonical
+    assert len(counts) == 8 * -(-256 * 256 * 8 // 1000)
+    assert counts[:2] == [256 * 256 * 8, 256 * 256 * 8 - 1000]
+
+
+@pytest.mark.parametrize("code", ["EXDEV", "ENOSYS", "EINVAL", "EOPNOTSUPP", "EPERM"])
+def test_where_the_kernel_cannot_copy_the_rest_of_a_tensor_is_read(tmp_path, monkeypatch, code):
+    # every tensor in a file: 1,000 bytes copied, then the copy fails and the rest is read and written
+    ckpt, canonical = _half_blended(tmp_path)
+    counts = _copy_file_range_calls(monkeypatch, limit=1000, fail=getattr(errno, code))
+    save_checkpoint(ckpt, tmp_path / "saved.st")
+    assert (tmp_path / "saved.st").read_bytes() == canonical
+    assert counts == [256 * 256 * 8, 256 * 256 * 8 - 1000] * 8
+
+
+def test_a_copy_that_fails_otherwise_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    ckpt, _ = _half_blended(tmp_path)
+    target = tmp_path / "target.st"
+    target.write_bytes(b"old bytes")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    _copy_file_range_calls(monkeypatch, limit=1000, fail=errno.ENOSPC)
+    with pytest.raises(OSError, match=re.escape(os.strerror(errno.ENOSPC))):
+        save_checkpoint(ckpt, target)
+    assert target.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def _entries():
