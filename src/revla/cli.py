@@ -12,6 +12,7 @@ import argparse
 import importlib
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import METRIC_LIFT, METRICS, MODE_GRADUAL, MODES, VARIANTS, __version__, check_output
@@ -58,10 +59,12 @@ render_partial_success = _on_first_call(".ood_eval", "render_partial_success")
 
 
 def _json(payload: dict):
-    """``json.dumps(payload, sort_keys=True, indent=2) + "\n"`` as UTF-8, one encoder piece at a time,
-    so the writer holds about one piece of the file, not the file."""
-    for piece in json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload):
-        yield piece.encode("utf-8")
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` as UTF-8, a few encoder pieces at a time,
+    so the writer holds a few KB of the file, not the file."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    # 256 pieces to a chunk: one encode and one write per piece made a lab's JSON 25 % slower than json.dumps
+    while text := "".join(islice(pieces, 256)):
+        yield text.encode("utf-8")
     yield b"\n"
 
 

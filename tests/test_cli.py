@@ -694,7 +694,7 @@ def test_every_json_artifact_is_json_dumps_of_its_payload(tmp_path, capsys):
     assert "\\u00d6ct\\u00f6-VLA" in (tmp_path / "eval.json").read_text()
 
 
-def test_a_json_artifact_is_written_one_piece_at_a_time(tmp_path):
+def test_a_json_artifact_is_written_without_being_held_whole(tmp_path):
     # the shape of a lab's shared.json: two curves of 5,000 floats
     rng = np.random.default_rng(5)
     payload = {"loss_curves": {"finetune": rng.random(5000).tolist(), "pretrain": rng.random(5000).tolist()}}
