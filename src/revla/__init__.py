@@ -86,8 +86,8 @@ def _write_chunks(fh, chunks) -> None:
 
 def write_together(writes) -> None:
     """Stage each ``(write, chunks)`` whose output is renamed, then write each in-place one, then rename
-    every staged file into place. A failure removes every staged file, and one while staging leaves
-    every in-place output as it was."""
+    every staged file into place. A failure removes every staged file; one while staging leaves every
+    in-place output as it was."""
     staged = []
     try:
         for write, chunks in sorted(writes, key=lambda pair: pair[0].in_place):
