@@ -213,9 +213,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .ood_eval import EvalLogError, collector_off, relative_improvement
 
     with collector_off():
-        records = []
-        for log_path in args.logs:
-            records.extend(parse_episode_log(log_path))
+        records = parse_episode_log(args.logs[0])
+        for log_path in args.logs[1:]:
+            records += parse_episode_log(log_path)
         table = aggregate(records, args.metric)
         del records  # all that follows reads the table
     summary = partial_success_summary(table)

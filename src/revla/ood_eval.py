@@ -9,6 +9,11 @@ marginals are always episode-weighted means of raw counts, never averages
 of rounded cells, so published-style tables can be recomputed from raw
 records without trusting printed totals.
 
+A parsed log (``EpisodeLog``) keeps each byte range of the file as
+columns (a cell index, an episode id and an outcome per episode) beside
+the range's per-cell counts, which ``aggregate`` sums; its
+``EpisodeRecord``s are built only when they are read.
+
 Simulation is deliberately out of scope: any simulator that can emit the
 log schema below can be scored here.
 """
@@ -18,13 +23,17 @@ from __future__ import annotations
 import gc
 import io
 import json
+import operator
 import os
 import stat
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -154,6 +163,76 @@ class EpisodeRecord(_EpisodeFields):
         return cls(*iterable)
 
 
+# (grasp_success, lift_success) of each outcome byte, grasp + 2 * lift
+_OUTCOME_FLAGS = ((False, False), (True, False), None, (True, True))
+
+
+class _Range(NamedTuple):
+    """The episodes of one byte range of a log, as columns in file order, and their counts per cell.
+
+    ``keys`` holds each cell (policy, object, setting, protocol,
+    sub-setting) once, its strings shared by the whole range; ``cells``
+    (``array('I')``) holds each episode's index into ``keys``, ``episodes``
+    its id (a list: ids are unbounded) and ``outcomes`` its grasp + 2 * lift.
+    ``counts`` holds (episodes, grasps, lifts) for each key.
+    """
+
+    keys: list[CellKey]
+    cells: array
+    episodes: list[int]
+    outcomes: bytes
+    counts: list[tuple[int, int, int]]
+
+    def record(self, i: int) -> EpisodeRecord:
+        key = self.keys[self.cells[i]]
+        fields = (*key[:4], self.episodes[i], *_OUTCOME_FLAGS[self.outcomes[i]], key[4])
+        return tuple.__new__(EpisodeRecord, fields)  # checked when the line was parsed
+
+
+class EpisodeLog(Sequence[EpisodeRecord]):
+    """The records of one or more parsed logs, in file order, held as ``_Range`` columns.
+
+    A read-only sequence: its length, iteration, indexing and slicing
+    build each ``EpisodeRecord`` when it is read, and a slice is a list.
+    It compares equal to an ``EpisodeLog`` or a list holding the same
+    records, and two logs join with ``+``.
+    """
+
+    __slots__ = ("_ranges", "_ends")
+
+    def __init__(self, ranges: Iterable[_Range] = ()) -> None:
+        self._ranges = tuple(part for part in ranges if part.episodes)
+        self._ends = list(accumulate(len(part.episodes) for part in self._ranges))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[EpisodeRecord]:
+        for part in self._ranges:
+            yield from map(part.record, range(len(part.episodes)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("episode log index out of range")
+        k = bisect_right(self._ends, i)
+        return self._ranges[k].record(i - (self._ends[k - 1] if k else 0))
+
+    def __add__(self, other):
+        if not isinstance(other, EpisodeLog):
+            return NotImplemented
+        return EpisodeLog(self._ranges + other._ranges)
+
+    def __eq__(self, other):
+        if not isinstance(other, (EpisodeLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass(frozen=True)
 class Cell:
     """Raw counts backing one table cell."""
@@ -184,27 +263,50 @@ CellKey = tuple[str, str, str, str, str | None]  # policy, object, setting, prot
 _CELL_KEY_FIELDS = ("policy", "target_object", "setting", "protocol", "sub_setting")
 
 
-def _tally(records: Iterable[EpisodeRecord], duplicates: set[tuple]) -> dict[CellKey, Cell]:
+def _cell_figures(records: Sequence[EpisodeRecord]) -> Iterator[tuple[CellKey, tuple[int, int, int], list]]:
+    """``(cell key, (episodes, grasps, lifts), episode ids)`` per cell of each range of an ``EpisodeLog``,
+    or of any other sequence of records, which is read once."""
+    if isinstance(records, EpisodeLog):
+        for part in records._ranges:
+            ids: list[list[int]] = [[] for _ in part.keys]
+            add = [group.append for group in ids]
+            for cell, episode in zip(part.cells, part.episodes):
+                add[cell](episode)
+            yield from zip(part.keys, part.counts, ids)
+        return
+    key = attrgetter(*_CELL_KEY_FIELDS)
+    groups: dict[CellKey, list] = {}  # cell key -> [grasps, lifts, episode ids]
+    for r in records:
+        if (group := groups.get(k := key(r))) is None:
+            group = groups[k] = [0, 0, []]
+        group[0] += r.grasp_success
+        group[1] += r.lift_success
+        group[2].append(r.episode)
+    for k, (grasps, lifts, ids) in groups.items():
+        yield k, (len(ids), grasps, lifts), ids
+
+
+def _tally(records: Sequence[EpisodeRecord], duplicates: set[tuple]) -> dict[CellKey, Cell]:
     """Episode, grasp and lift counts of ``records`` per cell.
 
-    The records are grouped into one list per cell, and each cell is then
-    counted and checked on its own, so the only set of episode ids alive
-    is the current cell's. Each ``(*cell key, episode)`` that occurs more
-    than once is added to ``duplicates``.
+    The counts of every range (``_cell_figures``) are summed per cell, and
+    each cell's episode ids, from all ranges, are then checked on their own,
+    so the only set of ids alive is the current cell's. Each
+    ``(*cell key, episode)`` that occurs more than once is added to
+    ``duplicates``.
     """
-    key = attrgetter(*_CELL_KEY_FIELDS)
-    groups: dict[CellKey, list[EpisodeRecord]] = {}
-    for r in records:
-        groups.setdefault(key(r), []).append(r)
-    episode, grasp, lift = (itemgetter(EpisodeRecord._fields.index(field))
-                            for field in ("episode", "grasp_success", "lift_success"))
-    cells = {}
-    for k, group in groups.items():
-        ids = list(map(episode, group))
-        if len(set(ids)) != len(ids):
-            duplicates.update((*k, i) for i, n in Counter(ids).items() if n > 1)
-        cells[k] = Cell(len(group), sum(map(grasp, group)), sum(map(lift, group)))
-    return cells
+    counts: dict[CellKey, tuple[int, int, int]] = {}
+    ids: dict[CellKey, list] = {}
+    for k, cell, group in _cell_figures(records):
+        if k in counts:
+            counts[k] = tuple(map(operator.add, counts[k], cell))
+            ids[k] += group
+        else:
+            counts[k], ids[k] = cell, group
+    for k, group in ids.items():
+        if len(set(group)) != len(group):
+            duplicates.update((*k, i) for i, n in Counter(group).items() if n > 1)
+    return {k: Cell(*cell) for k, cell in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -289,7 +391,8 @@ def aggregate(records: Sequence[EpisodeRecord], success_field: str = METRIC_LIFT
 
     Every record must reference a scenario of ``SCENARIOS`` and no
     (policy, scenario, episode) may repeat. Episode counts are taken from
-    the log itself.
+    the log itself: an ``EpisodeLog``'s per-range counts are summed, and any
+    other sequence of records is counted in one pass.
     """
     if success_field not in METRICS:
         raise ValueError(f"unknown metric {success_field!r}; expected one of {METRICS}")
@@ -334,9 +437,8 @@ _PROTOCOL_CONSTANTS = {protocol: protocol for protocol in PROTOCOLS}
 
 # A regular file is cut into ranges of at least this many bytes. Measured on a
 # 2-vCPU x86-64 host, parsing costs about 22 ns per byte of log. A worker adds about
-# 2.4 ms to fork and reap, and at most about 7 ns per byte to send its records back,
-# so it saves time on a range from about 160 KB, and about 13 ms on a range of this
-# size.
+# 2.4 ms to fork and reap, and about 0.25 ns per byte to send its columns back, so
+# it saves time on a range from about 110 KB, and about 20 ms on a range of this size.
 _MIN_RANGE_BYTES = 1 << 20
 
 
@@ -377,18 +479,21 @@ def _line_ranges(fd: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [size]))
 
 
-def _parse_lines(lines: Iterable[str]) -> tuple[list[tuple], list[tuple[int, str]], int]:
-    """The records of ``lines`` as plain tuples, each bad line's number (from 1) and reason,
-    and the line count. Plain tuples pickle several times faster than records.
+def _parse_lines(lines: Iterable[str]) -> tuple[_Range, list[tuple[int, str]], int]:
+    """The episodes of ``lines`` as a ``_Range``, each bad line's number (from 1) and reason,
+    and the line count. Columns of numbers pickle far faster and smaller than records.
 
     A line holding exactly one valid record is decoded by the C scanner
     behind ``json.loads`` and checked in place. Any other non-blank line
     goes through ``json.loads`` and ``_record_from_json_obj``, which accept
-    the same records and word every message. The records share one object
+    the same records and word every message. The cell keys share one object
     per distinct string; their settings and protocols are the module's
     constants.
     """
-    rows: list[tuple] = []
+    keys: list[CellKey] = []
+    index: dict[CellKey, int] = {}  # cell key -> its index in keys
+    cells, episodes, outcomes = array("I"), [], bytearray()
+    tallies: list[int] = []  # per cell, the episodes of each outcome 0 to 3
     problems: list[tuple[int, str]] = []
     scan_once = json.decoder.JSONDecoder().scan_once
     share = {**_SETTING_CONSTANTS, **_PROTOCOL_CONSTANTS}.setdefault
@@ -408,31 +513,39 @@ def _parse_lines(lines: Iterable[str]) -> tuple[list[tuple], list[tuple[int, str
                 policy = None
         except (StopIteration, ValueError, KeyError, RecursionError):
             policy = None
-        if (
+        if not (
             type(policy) is str and policy
             and not line[end:].strip(_JSON_WHITESPACE)
             and type(target) is str
-            and type(setting) is str and (setting := _SETTING_CONSTANTS.get(setting))
-            and type(protocol) is str and (protocol := _PROTOCOL_CONSTANTS.get(protocol))
+            and type(setting) is str and setting in _SETTING_CONSTANTS
+            and type(protocol) is str and protocol in _PROTOCOL_CONSTANTS
             and type(episode) is int and episode >= 0
             and type(grasp) is bool
             and type(lift) is bool and (grasp or not lift)
             and (sub is None or type(sub) is str)
         ):
-            rows.append((
-                share(policy, policy), share(target, target), setting, protocol,
-                episode, grasp, lift, share(sub, sub),
-            ))
-            continue
-        if not line.strip():
-            continue
-        try:
-            record = _record_from_json_obj(json.loads(line))
-        except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-            problems.append((lineno, str(exc)))
-        else:
-            rows.append(tuple(share(value, value) if type(value) is str else value for value in record))
-    return rows, problems, lineno
+            if not line.strip():
+                continue
+            try:
+                policy, target, setting, protocol, episode, grasp, lift, sub = _record_from_json_obj(
+                    json.loads(line))
+            except (json.JSONDecodeError, ValueError, RecursionError) as exc:
+                problems.append((lineno, str(exc)))
+                continue
+        key = (policy, target, setting, protocol, sub)
+        if (cell := index.get(key)) is None:
+            key = tuple(map(share, key, key))
+            cell = index[key] = len(keys)
+            keys.append(key)
+            tallies += (0, 0, 0, 0)
+        outcome = grasp + lift + lift
+        cells.append(cell)
+        episodes.append(episode)
+        outcomes.append(outcome)
+        tallies[4 * cell + outcome] += 1
+    counts = [(none + grasped + lifted, grasped + lifted, lifted)
+              for none, grasped, _, lifted in zip(*[iter(tallies)] * 4)]
+    return _Range(keys, cells, episodes, bytes(outcomes), counts), problems, lineno
 
 
 @contextmanager
@@ -451,15 +564,17 @@ def collector_off() -> Iterator[None]:
             gc.enable()
 
 
-def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
+def parse_episode_log(path: str | Path) -> EpisodeLog:
     """Read a newline-delimited JSON episode log, naming every bad line.
 
     A regular file is cut into byte ranges at line starts, one per usable
     core, which ``revla.cores.map_on_cores`` parses with ``_parse_lines``;
     any other file (a pipe, say) has no size to cut by and is read in one
-    pass. The records of one range share one object per distinct string.
-    A line that is not UTF-8, or is nested deeper than the recursion
-    limit, is a bad line like any other.
+    pass. Each range comes back as columns and counts (``_Range``), and the
+    records are built from them when they are read. The records of one
+    range share one object per distinct string. A line that is not UTF-8,
+    or is nested deeper than the recursion limit, is a bad line like any
+    other.
     """
     with collector_off():
         with open(path, "rb") as raw:
@@ -475,20 +590,14 @@ def parse_episode_log(path: str | Path) -> list[EpisodeRecord]:
             else:
                 with _text_lines(raw) as lines:
                     parts = [_parse_lines(lines)]
-        records: list[EpisodeRecord] = []
-        problems: list[str] = []
-        lines_before = 0
-        new_record = tuple.__new__
-        for rows, bad, line_count in parts:
-            problems += [f"line {lines_before + n}: {reason}" for n, reason in bad]
-            lines_before += line_count
-            # each row is replaced in place, so a range's rows and records never coexist
-            for i, row in enumerate(rows):
-                rows[i] = new_record(EpisodeRecord, row)
-            records += rows
+    problems: list[str] = []
+    lines_before = 0
+    for _, bad, line_count in parts:
+        problems += [f"line {lines_before + n}: {reason}" for n, reason in bad]
+        lines_before += line_count
     if problems:
         raise EvalLogError(f"invalid episode log {path}:\n" + "\n".join(problems))
-    return records
+    return EpisodeLog(part for part, _, _ in parts)
 
 
 def _fmt(rate: float) -> str:

@@ -154,22 +154,29 @@ def _bytes(source: _Source | bytes, offset: int, nbytes: int) -> bytes:
     return io.BufferedReader(_Stream([(source, offset, nbytes)])).read(nbytes)
 
 
-def _copy(source: _Source, offset: int, nbytes: int, out) -> None:
+def _copy(source: _Source, offset: int, nbytes: int, out, refused: set[_Source]) -> None:
     """Copy ``nbytes`` from ``offset`` of a loaded file to the end of the open file ``out``, in the kernel.
 
     The source offset is passed, so no file offset of ``source`` moves. A copy that finds no byte fails
-    as changed, a short one is resumed, and where the kernel cannot copy, the rest is read and written."""
-    while nbytes:
+    as changed, a short one is resumed, and where the kernel cannot copy, the rest is read and written.
+    A source the kernel refuses at a tensor's first call (``EXDEV`` between two file systems, say) is
+    added to ``refused``, and every later tensor of it in ``refused`` is read and written at once; a
+    refusal after some bytes of a tensor were copied is not taken as final."""
+    first = True
+    while nbytes and source not in refused:
         try:
             count = os.copy_file_range(source.checked(), out.fileno(), nbytes, offset)
         except OSError as exc:
             if exc.errno not in _NO_KERNEL_COPY:
                 raise
-            out.write(_bytes(source, offset, nbytes))
-            return
+            if first:
+                refused.add(source)
+            break
         if not count:
             raise source.changed()
-        offset, nbytes = offset + count, nbytes - count
+        offset, nbytes, first = offset + count, nbytes - count, False
+    if nbytes:
+        out.write(_bytes(source, offset, nbytes))
 
 
 class _Stored(NamedTuple):
@@ -487,12 +494,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write the canonical serialization of ``ckpt`` to ``path`` with the writer that
     ``revla.check_output`` returns for a renamed output: whole or not at all, replacing any link.
     Held tensors are written as they are; each tensor in a file is copied from it by the kernel
-    (``_copy``), or read and written where the kernel cannot copy, so no unchanged tensor is held."""
-    check_output(path, renamed=True)(_chunk(*part) for part in _canonical(ckpt))
+    (``_copy``), or read and written where the kernel cannot copy, so no unchanged tensor is held.
+    A file the kernel refuses to copy from is not asked again in this save."""
+    refused: set[_Source] = set()
+    check_output(path, renamed=True)(_chunk(*part, refused) for part in _canonical(ckpt))
 
 
-def _chunk(source: _Source | bytes, offset: int, nbytes: int):
+def _chunk(source: _Source | bytes, offset: int, nbytes: int, refused: set[_Source]):
     """A part as the writer takes it: held ``bytes``, or a function that copies it from its file."""
     if isinstance(source, bytes):
         return source[offset : offset + nbytes]
-    return lambda out: _copy(source, offset, nbytes, out)
+    return lambda out: _copy(source, offset, nbytes, out, refused)

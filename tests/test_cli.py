@@ -642,6 +642,41 @@ def test_eval_gives_the_same_bytes_from_one_range_or_several(tmp_path, monkeypat
     assert runs[0] == runs[1]
 
 
+def test_eval_of_two_logs_gives_the_bytes_of_one_log_holding_both(tmp_path, monkeypatch, capsys):
+    # the second log repeats a cell of the first with new episode ids, so its counts are summed across logs
+    first = []
+    for policy in ("OpenVLA", "ReVLA"):
+        for (obj, setting), lifts in OPENVLA_CELLS.items():
+            first += expand_cell(policy, obj, setting, episodes=36, lift_successes=lifts)
+    second = expand_cell("ReVLA", "pear", "single", episodes=5, lift_successes=4, first_episode=36)
+    second += expand_cell("Octo", "coke_can", "single", episodes=9, lift_successes=2, sub_setting="vertical")
+    paths = [tmp_path / name for name in ("a.jsonl", "b.jsonl", "joined.jsonl")]
+    for records, path in zip((first, second, first + second), paths):
+        write_episode_log(records, path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", 4096)
+    runs = []
+    for logs in ([paths[0], paths[1]], [paths[2]]):
+        out = tmp_path / f"report_{len(logs)}.json"
+        assert main(["eval", *map(str, logs), "--baseline", "OpenVLA", "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["table"]["policies"]["ReVLA"]["total"] == 0.176  # (35 + 4) / 221
+
+
+def test_eval_names_duplicates_across_logs_in_one_line(tmp_path, capsys):
+    pear = expand_cell("p", "pear", "single", episodes=3, lift_successes=1)
+    logs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    write_episode_log(pear, logs[0])
+    write_episode_log(pear[1:] + expand_cell("q", "pear", "single", episodes=1, lift_successes=1), logs[1])
+    out = tmp_path / "r.json"
+    assert main(["eval", *map(str, logs), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: duplicate episode ids: [('p', 'pear', 'single', 'visual_matching', None, 1), "
+                            "('p', 'pear', 'single', 'visual_matching', None, 2)]\n")
+
+
 def test_eval_duplicates_with_and_without_sub_setting_fail_with_one_line(tmp_path, capsys):
     records = []
     for sub_setting in (None, None, "vertical", "vertical"):

@@ -463,16 +463,21 @@ _CAPPED_RUNS = {
 }
 
 
-def _run_under_a_file_size_cap(argv: list[str], cap: int) -> None:
+def _fail_under_a_file_size_cap(argv: list[str], cap: int) -> None:
     """Run ``revla argv`` in a child whose files cannot grow past ``cap`` bytes; it must exit 1 with
-    one line and leave the working directory's tree as it was."""
-    before = _tree()
+    one line."""
     root = str(Path(revla.__file__).resolve().parent.parent)
     code = _RUN_CLI_UNDER_A_FILE_SIZE_CAP.format(cap=cap, root=root, argv=argv)
     result = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 1
     assert result.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+
+
+def _run_under_a_file_size_cap(argv: list[str], cap: int) -> None:
+    """``_fail_under_a_file_size_cap``, which must also leave the working directory's tree as it was."""
+    before = _tree()
+    _fail_under_a_file_size_cap(argv, cap)
     assert _tree() == before  # no file changed, and no .revla.*.tmp was left
 
 
@@ -519,3 +524,23 @@ def test_a_lab_cut_short_leaves_an_in_place_output_as_it_was(tmp_path, monkeypat
     _run_under_a_file_size_cap([*_CAPPED_LAB, "--seed", "3", "--out", "out"], LAB_FILE_SIZE_CAP)
     assert Path("target.json").read_bytes() == earlier
     assert Path("out", "shared.json").is_symlink()
+
+
+def test_a_lab_cut_short_while_an_in_place_output_is_written_leaves_it_cut(tmp_path, monkeypatch, capsys):
+    # the one exception to a lab written whole or not at all: a report inside --out that is a symbolic
+    # link is written through in place, last, so a failure while it is written leaves its target holding
+    # the new run's first bytes, while every renamed file keeps the earlier run's bytes
+    monkeypatch.chdir(tmp_path)
+    assert main([*_CAPPED_LAB, "--seed", "3", "--out", "uncapped"]) == 0
+    new_report = Path("uncapped", "report_D_flip.json").read_bytes()
+    assert len(new_report) > LAB_FILE_SIZE_CAP
+    shutil.rmtree("uncapped")
+    Path("out").mkdir()
+    os.symlink(os.path.join("..", "target.json"), Path("out", "report_D_flip.json"))
+    assert main([*_CAPPED_LAB, "--seed", "7", "--out", "out"]) == 0
+    capsys.readouterr()
+    renamed = {p.name: p.read_bytes() for p in Path("out").iterdir() if not p.is_symlink()}
+    _fail_under_a_file_size_cap([*_CAPPED_LAB, "--seed", "3", "--out", "out"], LAB_FILE_SIZE_CAP)
+    assert Path("target.json").read_bytes() == new_report[:LAB_FILE_SIZE_CAP]
+    assert Path("out", "report_D_flip.json").is_symlink()
+    assert {p.name: p.read_bytes() for p in Path("out").iterdir() if not p.is_symlink()} == renamed

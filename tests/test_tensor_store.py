@@ -553,6 +553,27 @@ def test_where_the_kernel_cannot_copy_the_rest_of_a_tensor_is_read(tmp_path, mon
     assert counts == [256 * 256 * 8, 256 * 256 * 8 - 1000] * 8
 
 
+def test_a_file_the_kernel_refuses_is_asked_once_per_save(tmp_path, monkeypatch):
+    # tensors alternate between two loaded files, as across two file systems the kernel copies none
+    current, pretrained, path = _invariant_pair(tmp_path)
+    save_checkpoint(pretrained, tmp_path / "pretrained.st")
+    first, second = load_checkpoint(path), load_checkpoint(tmp_path / "pretrained.st")
+    names = first.names()
+    ckpt = Checkpoint({name: (first if i % 2 else second)._tensors[name] for i, name in enumerate(names)})
+    sources = []
+
+    def refuse(src, dst, count, offset):
+        sources.append(os.fstat(src).st_ino)
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+    monkeypatch.setattr(os, "copy_file_range", refuse)
+    for _ in range(2):
+        save_checkpoint(ckpt, tmp_path / "saved.st")
+        assert (tmp_path / "saved.st").read_bytes() == serialize_checkpoint(ckpt)
+    inodes = [os.stat(p).st_ino for p in (tmp_path / "pretrained.st", path)]
+    assert sources == inodes * 2  # each file once per save, at its first tensor
+
+
 def test_a_copy_that_fails_otherwise_leaves_the_target_as_it_was(tmp_path, monkeypatch):
     ckpt, _ = _half_blended(tmp_path)
     target = tmp_path / "target.st"
