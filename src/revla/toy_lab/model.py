@@ -90,7 +90,12 @@ class ToyModel:
 
 
 def _encode(p: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and encoder features of an f64 (batch, 16) input."""
+    """Hidden activations and encoder features of an f64 (..., batch, 16) input.
+
+    A stack of batches is encoded batch by batch: numpy's matmul runs one
+    GEMM per (batch, 16) matrix, so each batch's rows are bitwise those of
+    encoding it alone.
+    """
     h1 = np.tanh(x @ p["vision.dino.layer1.weight"].T + p["vision.dino.layer1.bias"])
     return h1, np.tanh(h1 @ p["vision.dino.layer2.weight"].T + p["vision.dino.layer2.bias"])
 
@@ -135,18 +140,26 @@ def grad(
 
 
 def _predict_and_grad(
-    model: ToyModel, x: np.ndarray, targets: np.ndarray, head: str, trained: frozenset[str]
+    model: ToyModel,
+    x: np.ndarray,
+    targets: np.ndarray,
+    head: str,
+    trained: frozenset[str],
+    encoded: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
     """The head's predictions, the MSE loss and the ``trained`` parameters' gradients, in one pass.
 
     The predictions are bitwise equal to what ``forward`` gives, and the loss
     to ``float(np.mean((preds - targets) ** 2))``. The encoder backward pass
     runs only if an encoder parameter is trained. Inputs are taken as f64
-    arrays; ``grad`` checks them first.
+    arrays; ``grad`` checks them first. ``encoded``, if given, is
+    ``_encode(model.params, x)`` computed beforehand, which holds as long as
+    the encoder has not moved since.
     """
     w, b = _head_params(model, head)
-    h1, feats = _encode(model.params, x)
-    preds = feats @ w.T + b
+    h1, feats = _encode(model.params, x) if encoded is None else encoded
+    # on these 2-D operands ndarray.dot hands BLAS the call that @ does, without matmul's dispatch cost
+    preds = feats.dot(w.T) + b
     if preds.shape != targets.shape:
         raise ValueError(f"targets shape {targets.shape} != predictions shape {preds.shape}")
 
@@ -156,17 +169,17 @@ def _predict_and_grad(
     grads: dict[str, np.ndarray] = {}
     dpred = 2.0 * residual / targets.size
     if f"head_{head}.weight" in trained:
-        grads[f"head_{head}.weight"] = dpred.T @ feats
+        grads[f"head_{head}.weight"] = dpred.T.dot(feats)
     if f"head_{head}.bias" in trained:
         grads[f"head_{head}.bias"] = dpred.sum(axis=0)
     if trained.isdisjoint(ENCODER_NAMES):
         return preds, loss, grads
-    dz2 = (dpred @ w) * (1.0 - feats * feats)
-    dz1 = (dz2 @ model.params["vision.dino.layer2.weight"]) * (1.0 - h1 * h1)
+    dz2 = dpred.dot(w) * (1.0 - feats * feats)
+    dz1 = dz2.dot(model.params["vision.dino.layer2.weight"]) * (1.0 - h1 * h1)
     encoder_grads = {
-        "vision.dino.layer2.weight": dz2.T @ h1,
+        "vision.dino.layer2.weight": dz2.T.dot(h1),
         "vision.dino.layer2.bias": dz2.sum(axis=0),
-        "vision.dino.layer1.weight": dz1.T @ x,
+        "vision.dino.layer1.weight": dz1.T.dot(x),
         "vision.dino.layer1.bias": dz1.sum(axis=0),
     }
     grads.update((name, g) for name, g in encoder_grads.items() if name in trained)

@@ -13,6 +13,7 @@ from revla.toy_lab.model import (
     ENCODER_NAMES,
     PARAM_SHAPES,
     ToyModel,
+    _encode,
     _predict_and_grad,
     forward,
     grad,
@@ -30,6 +31,7 @@ from revla.toy_lab.tasks import (
 )
 from revla.toy_lab.training import (
     BATCH_SIZE,
+    BLOCK_STEPS,
     TrainingDiverged,
     fit_ridge_readout,
     probe_linear,
@@ -158,6 +160,78 @@ def test_invalid_hyperparameters_rejected():
         train(model, TaskSpec(TASK_A_DEPTH, 6), 10, 0.0)
     with pytest.raises(ValueError, match="steps"):
         train(model, TaskSpec(TASK_A_DEPTH, 6), -1, 1e-2)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -1e-2])
+def test_non_finite_or_negative_lr_rejected(lr):
+    with pytest.raises(ValueError, match=r"^lr \(the learning rate\) must be positive and finite"):
+        train(ToyModel.initialize(6), TaskSpec(TASK_A_DEPTH, 6), 10, lr)
+
+
+@pytest.mark.parametrize("steps", [True, False, 2.0, "3", np.int64(3), None])
+def test_steps_must_be_an_int(steps):
+    with pytest.raises(ValueError, match=r"^steps must be a non-negative int"):
+        train(ToyModel.initialize(6), TaskSpec(TASK_A_DEPTH, 6), steps, 1e-2)
+
+
+def _reference_step(params, x, y, head, trained, lr):
+    """One plain gradient step, written out with @ and fresh arrays: the one-batch-at-a-time oracle."""
+    w, b = params[f"head_{head}.weight"], params[f"head_{head}.bias"]
+    w1, w2 = params["vision.dino.layer1.weight"], params["vision.dino.layer2.weight"]
+    h1 = np.tanh(x @ w1.T + params["vision.dino.layer1.bias"])
+    feats = np.tanh(h1 @ w2.T + params["vision.dino.layer2.bias"])
+    residual = feats @ w.T + b - y
+    dpred = 2.0 * residual / y.size
+    dz2 = (dpred @ w) * (1.0 - feats * feats)
+    dz1 = (dz2 @ w2) * (1.0 - h1 * h1)
+    grads = {
+        f"head_{head}.weight": dpred.T @ feats,
+        f"head_{head}.bias": dpred.sum(axis=0),
+        "vision.dino.layer2.weight": dz2.T @ h1,
+        "vision.dino.layer2.bias": dz2.sum(axis=0),
+        "vision.dino.layer1.weight": dz1.T @ x,
+        "vision.dino.layer1.bias": dz1.sum(axis=0),
+    }
+    for name in trained:
+        params[name] = params[name] - lr * grads[name]
+    return float(np.mean(residual**2))
+
+
+@pytest.mark.parametrize("freeze", [None, ["vision.*"]], ids=["unfrozen", "frozen"])
+@pytest.mark.parametrize("task_id", [TASK_A_DEPTH, TASK_B_ACTION])
+def test_block_training_matches_per_step_loop_bitwise(task_id, freeze):
+    # stage-sized calls on one shared stream: empty, shorter than, equal to and past one block,
+    # then three calls that each start mid-block in the stream
+    task = TaskSpec(task_id, 13)
+    selector = Selector(freeze) if freeze is not None else None
+    frozen = set(select(PARAM_SHAPES, selector)) if selector is not None else set()
+    trained = {f"head_{task.head}.weight", f"head_{task.head}.bias", *ENCODER_NAMES} - frozen
+    model = ToyModel.initialize(13)
+    ref_params = dict(model.params)
+    rng, ref_rng = stream_rng(task, STREAM_TRAIN), stream_rng(task, STREAM_TRAIN)
+    for steps in (0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 37, 37, 37):
+        ref_losses = []
+        for _ in range(steps):
+            x = sample_inputs(ref_rng, BATCH_SIZE)
+            ref_losses.append(_reference_step(ref_params, x, targets(task, x), task.head, trained, 1e-2))
+        model, losses = train(model, task, steps, 1e-2, selector, rng=rng)
+        assert [loss.hex() for loss in losses] == [loss.hex() for loss in ref_losses], steps
+        assert params_bytes(model) == {n: a.tobytes() for n, a in ref_params.items()}, steps
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, steps
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("count", [1, 3, BLOCK_STEPS])
+def test_encoding_a_stack_equals_encoding_each_batch_bitwise(count):
+    # a numpy that folded the stack into one (count * 32, 16) GEMM would change the lab's bytes
+    params = ToyModel.initialize(count).params
+    stack = np.random.default_rng(count).standard_normal((count, BATCH_SIZE, 16))
+    h1, feats = _encode(params, stack)
+    assert h1.shape == (count, BATCH_SIZE, 32) and feats.shape == (count, BATCH_SIZE, 8)
+    for i in range(count):
+        one_h1, one_feats = _encode(params, stack[i])
+        assert h1[i].tobytes() == one_h1.tobytes()
+        assert feats[i].tobytes() == one_feats.tobytes()
 
 
 def test_task_b_mask_zeroes_half_the_inputs():
