@@ -146,6 +146,7 @@ def _predict_and_grad(
     head: str,
     trained: frozenset[str],
     encoded: tuple[np.ndarray, np.ndarray] | None = None,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
     """The head's predictions, the MSE loss and the ``trained`` parameters' gradients, in one pass.
 
@@ -154,8 +155,10 @@ def _predict_and_grad(
     runs only if an encoder parameter is trained. Inputs are taken as f64
     arrays; ``grad`` checks them first. ``encoded``, if given, is
     ``_encode(model.params, x)`` computed beforehand, which holds as long as
-    the encoder has not moved since.
+    the encoder has not moved since. A gradient named in ``out`` is written
+    into that array.
     """
+    out = out or {}
     w, b = _head_params(model, head)
     h1, feats = _encode(model.params, x) if encoded is None else encoded
     # on these 2-D operands ndarray.dot hands BLAS the call that @ does, without matmul's dispatch cost
@@ -169,18 +172,18 @@ def _predict_and_grad(
     grads: dict[str, np.ndarray] = {}
     dpred = 2.0 * residual / targets.size
     if f"head_{head}.weight" in trained:
-        grads[f"head_{head}.weight"] = dpred.T.dot(feats)
+        grads[f"head_{head}.weight"] = dpred.T.dot(feats, out.get(f"head_{head}.weight"))
     if f"head_{head}.bias" in trained:
-        grads[f"head_{head}.bias"] = dpred.sum(axis=0)
+        grads[f"head_{head}.bias"] = dpred.sum(axis=0, out=out.get(f"head_{head}.bias"))
     if trained.isdisjoint(ENCODER_NAMES):
         return preds, loss, grads
     dz2 = dpred.dot(w) * (1.0 - feats * feats)
     dz1 = dz2.dot(model.params["vision.dino.layer2.weight"]) * (1.0 - h1 * h1)
     encoder_grads = {
-        "vision.dino.layer2.weight": dz2.T.dot(h1),
-        "vision.dino.layer2.bias": dz2.sum(axis=0),
-        "vision.dino.layer1.weight": dz1.T.dot(x),
-        "vision.dino.layer1.bias": dz1.sum(axis=0),
+        "vision.dino.layer2.weight": dz2.T.dot(h1, out.get("vision.dino.layer2.weight")),
+        "vision.dino.layer2.bias": dz2.sum(axis=0, out=out.get("vision.dino.layer2.bias")),
+        "vision.dino.layer1.weight": dz1.T.dot(x, out.get("vision.dino.layer1.weight")),
+        "vision.dino.layer1.bias": dz1.sum(axis=0, out=out.get("vision.dino.layer1.bias")),
     }
     grads.update((name, g) for name, g in encoder_grads.items() if name in trained)
     return preds, loss, grads

@@ -70,7 +70,8 @@ def train(
     ``_encode`` call. Every step still sees its own 32 rows and GEMMs of
     their size, so the result, the losses and ``rng``'s position after the
     call are bitwise those of drawing, encoding and stepping one batch at a
-    time.
+    time. The trained parameters of the returned model are views of one
+    array, which each step updates in place.
     """
     if not math.isfinite(lr) or lr <= 0:
         raise ValueError(f"lr (the learning rate) must be positive and finite, got {lr!r}")
@@ -85,6 +86,20 @@ def train(
     # the other head's gradient is zero, so only these parameters ever move
     trained = frozenset((f"head_{head}.weight", f"head_{head}.bias", *ENCODER_NAMES)) - frozen
     encoder_fixed = trained.isdisjoint(ENCODER_NAMES)
+    # the trained parameters become views of one flat array and their gradients views of
+    # another, so a step updates them all with one subtraction
+    order = sorted(trained)
+    flat = np.empty(sum(params[name].size for name in order))
+    flat_grads = np.empty_like(flat)
+    grads: dict[str, np.ndarray] = {}
+    offset = 0
+    for name in order:
+        shape, size = params[name].shape, params[name].size
+        view = flat[offset : offset + size].reshape(shape)
+        view[...] = params[name]
+        params[name] = view
+        grads[name] = flat_grads[offset : offset + size].reshape(shape)
+        offset += size
     losses: list[float] = []
     for start in range(0, steps, BLOCK_STEPS):
         count = min(BLOCK_STEPS, steps - start)
@@ -95,12 +110,11 @@ def train(
         h1, feats = _encode(params, x) if encoder_fixed else (None, None)
         for i in range(count):
             encoded = (h1[i], feats[i]) if encoder_fixed else None
-            _, loss, grads = _predict_and_grad(out, x[i], y[i], head, trained, encoded)
+            loss = _predict_and_grad(out, x[i], y[i], head, trained, encoded, grads)[1]
             if not math.isfinite(loss):
                 raise TrainingDiverged(start + i, loss)
             losses.append(loss)
-            for name, g in grads.items():
-                params[name] -= lr * g
+            flat -= lr * flat_grads
     return out, losses
 
 
