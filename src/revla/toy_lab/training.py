@@ -24,12 +24,13 @@ from .tasks import (
 
 BATCH_SIZE = 32
 # Steps whose minibatches ``train`` draws (and, with the encoder frozen, encodes) at once.
-# Measured on a 2-core host, two limits keep the block small:
-# - BLAS threads: task A's targets GEMV over 16 x 32 rows x 16 inputs (8,192 elements) stays
-#   below the 9,216 at which OpenBLAS hands a GEMV to its threads (a 576-row GEMV took twice as
-#   long as a 512-row one), and spinning threads take the core the other reversal worker needs;
-# - peak RSS: 32- and 64-step blocks raised a `lab --variant all` child's peak from 37.6 to
-#   38.3 and 39.3 MB.
+# Two limits keep the block small (measured on a 2-core host with OpenBLAS 0.3.31):
+# - BLAS threads: task A's targets GEMV over a block has 16 x 32 rows x 16 inputs = 8,192
+#   elements, below the 9,216 at which OpenBLAS hands a GEMV to its threads. Whole-call draws
+#   cross it, and the threads take the core the other reversal worker needs: a
+#   `lab --variant all` child then used 2.23 s of CPU, against 1.25 s with one BLAS thread;
+# - peak RSS: 32- and 64-step blocks raised that child's peak from 37.6 to 38.2 and 39.3 MB
+#   (whole-call draws: 168 MB).
 BLOCK_STEPS = 16
 RIDGE_LAMBDA = 1e-6  # the linear probe's ridge penalty
 PROBE_COUNT = 512  # samples in each of the probe's train and held-out sets
@@ -110,7 +111,7 @@ def train(
         h1, feats = _encode(params, x) if encoder_fixed else (None, None)
         for i in range(count):
             encoded = (h1[i], feats[i]) if encoder_fixed else None
-            loss = _predict_and_grad(out, x[i], y[i], head, trained, encoded, grads)[1]
+            loss = _predict_and_grad(out, x[i], y[i], head, trained, encoded=encoded, out=grads)[1]
             if not math.isfinite(loss):
                 raise TrainingDiverged(start + i, loss)
             losses.append(loss)
