@@ -140,6 +140,29 @@ def test_inspect_hashing_error_exits_1_with_one_line(checkpoint_pair, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change", ["rewritten", "truncated"])
+def test_inspect_of_a_file_changed_after_loading_fails_with_one_line(checkpoint_pair, tmp_path, monkeypatch,
+                                                                     capsys, change):
+    _, _, cur_path, _ = checkpoint_pair
+    out = tmp_path / "inspect.json"
+    out.write_bytes(b"earlier report")
+    load = cli.load_checkpoint
+
+    def load_then_change(path):
+        ckpt, raw, stat = load(path), cur_path.read_bytes(), cur_path.stat()
+        if change == "rewritten":  # same size, one bit flipped, a later modification time
+            cur_path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
+            os.utime(cur_path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+        else:
+            os.truncate(cur_path, len(raw) - 4)
+        return ckpt
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_then_change)
+    assert main(["inspect", str(cur_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cur_path} changed since it was loaded\n")
+    assert out.read_bytes() == b"earlier report"
+
+
 def test_merge_alpha_one_select_all_equals_pretrained(checkpoint_pair, tmp_path):
     _, pretrained, cur_path, pre_path = checkpoint_pair
     out = tmp_path / "merged.st"
@@ -810,6 +833,31 @@ def test_running_out_of_memory_fails_with_one_line(tmp_path, argv):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.st", "b.st"]  # no output, no .tmp
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_inspect_of_a_file_larger_than_its_memory_cap_streams_it(tmp_path, monkeypatch):
+    # 1 GiB of 16 MiB tensors under a 768 MiB address-space cap, set in the child only: inspect
+    # holds one tensor at a time, so it succeeds and reports what an uncapped run reports
+    header = {f"t{i:02d}": {"dtype": "F32", "shape": [4 << 20], "data_offsets": [i << 24, (i + 1) << 24]}
+              for i in range(64)}
+    blob = json.dumps(header).encode()
+    blob = blob.ljust(-(-len(blob) // 8) * 8)
+    with open(tmp_path / "a.st", "wb") as fh:
+        fh.write(struct.pack("<Q", len(blob)) + blob)
+        fh.truncate(8 + len(blob) + (1 << 30))
+    root = str(Path(revla.__file__).resolve().parent.parent)
+    code = _RUN_CLI_UNDER_AN_ADDRESS_SPACE_CAP.format(cap=768 << 20, root=root,
+                                                      argv=["inspect", "a.st", "--out", "capped.json"])
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,
+                            text=True, timeout=300)
+    assert (result.returncode, result.stderr) == (0, "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["inspect", "a.st", "--out", "uncapped.json"]) == 0
+    assert (tmp_path / "capped.json").read_bytes() == (tmp_path / "uncapped.json").read_bytes()
+    report = json.loads((tmp_path / "capped.json").read_text())
+    assert report["tensor_count"] == 64
+    assert {row["sha256"] for row in report["tensors"]} == {hashlib.sha256(bytes(16 << 20)).hexdigest()}
+
+
 _RUN_CLI_THEN_REPORT_MODULES = """
 import runpy, sys
 sys.path.insert(0, {root!r})
@@ -857,7 +905,7 @@ def test_commands_that_use_no_numpy_never_load_it(tmp_path, command):
 
 def test_version_loads_neither_pickle_nor_the_fork_helper(tmp_path):
     modules = {"logging", "pickle", "revla.cores", "revla.ood_eval", "revla.schedule", "revla.selector",
-               "dataclasses", "decimal"}
+               "dataclasses", "decimal", "hashlib", "concurrent.futures"}
     assert _loaded_after(tmp_path, "version", modules) == "[]"
 
 

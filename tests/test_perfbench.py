@@ -88,6 +88,16 @@ def test_traced_checkpoint_ops_record_every_layer(monkeypatch, tmp_path):
     oracles.check_inspect(report, pair)
 
 
+def test_traced_inspect_counts_the_canonical_bytes_as_its_serialize_work(monkeypatch, tmp_path):
+    # inspect streams the file to a digest writer, whose len() the tracer reads as the bytes serialized
+    tracing = _tracing(monkeypatch)
+    pair = importlib.import_module("inputs").write_checkpoint_pair(tmp_path, 1, 64)
+    tracer = tracing.Tracer()
+    argv = ["inspect", str(pair.current), "--out", str(tmp_path / "inspect.json")]
+    assert tracing.run_cli_inprocess(argv, tmp_path / "stdout.txt", tracer)[0] == 0
+    assert [s.work for s in tracer.spans if s.name == "tensor_store.serialize"] == [pair.file_bytes]
+
+
 def test_traced_lab_records_every_layer(monkeypatch, tmp_path):
     tracing = _tracing(monkeypatch)
     run = importlib.import_module("run")

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import errno
 import gc
+import hashlib
 import json
 import os
 import re
 import struct
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -385,6 +387,16 @@ def test_merge_command_holds_the_blended_bytes_not_its_inputs(tmp_path):
     assert load_checkpoint(out) == linear_merge(current, pretrained, MergeSpec(0.3, Selector(["g0.*"])))
 
 
+def test_inspect_command_holds_one_tensor_not_its_file(tmp_path):
+    # inspect streams the canonical file part by part through one buffer the size of the largest
+    # tensor, whether the file is canonical or its header keys are out of order
+    current, _, path = _invariant_pair(tmp_path)  # 16 f64 tensors of 512 KiB, 8 MiB
+    largest = max(current[name].nbytes for name in current)
+    for loaded in (path, _with_header_keys_reversed(tmp_path, current)):
+        argv = ["inspect", str(loaded), "--out", str(tmp_path / "inspect.json")]
+        assert _traced_peak(main, argv) <= 2 * largest + 256 * 1024
+
+
 def _changed_since_loaded(path):
     return pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))} changed since it was loaded$")
 
@@ -422,6 +434,8 @@ def test_a_file_rewritten_after_loading_fails(tmp_path, monkeypatch):
         ckpt["d.w"]
     with _changed_since_loaded(path):
         serialize_checkpoint(ckpt)
+    with _changed_since_loaded(path):
+        serialize_checkpoint(ckpt, out=_Parts())
     _save_fails_as_changed(ckpt, path)
 
 
@@ -431,6 +445,8 @@ def test_a_file_truncated_after_loading_fails(tmp_path, monkeypatch):
     os.truncate(path, path.stat().st_size - 4)
     with _changed_since_loaded(path):
         ckpt["d.w"]
+    with _changed_since_loaded(path):
+        serialize_checkpoint(ckpt, out=_Parts())
     _save_fails_as_changed(ckpt, path)
     # a read or copy that comes back short fails the same way, even if the file looked unchanged
     monkeypatch.setattr(tensor_store._Source, "_stat", lambda source: source._stamp)
@@ -438,6 +454,10 @@ def test_a_file_truncated_after_loading_fails(tmp_path, monkeypatch):
         ckpt["d.w"]
     with _changed_since_loaded(path):
         serialize_checkpoint(ckpt)
+    streamed = _Parts()
+    with _changed_since_loaded(path):
+        serialize_checkpoint(ckpt, out=streamed)
+    assert len(streamed.parts) == 4  # the header, a.w, b.w and the empty c.w; d.w is cut short
     counts = _copy_file_range_calls(monkeypatch)
     _save_fails_as_changed(ckpt, path)  # once the header and the first tensors are written
     assert counts == [48, 16, 8, 4]  # a.w and b.w whole, then d.w: 4 of its 8 bytes, then none
@@ -501,6 +521,11 @@ def test_a_read_cut_short_by_the_system_is_resumed_in_one_buffer(tmp_path, monke
         peak = _traced_peak(lambda: got.append(serialize_checkpoint(ckpt)))
         assert got[0] == path.read_bytes()
         assert peak <= loaded.stat().st_size + 16 * 1024
+        # streamed, each tensor is read into one reused buffer the size of the largest
+        digest = hashlib.sha256()
+        peak = _traced_peak(serialize_checkpoint, ckpt, types.SimpleNamespace(write=digest.update))
+        assert digest.digest() == hashlib.sha256(path.read_bytes()).digest()
+        assert peak <= current[name].nbytes + 16 * 1024  # one 512 KiB tensor of the 8 MiB file
 
 
 def _half_blended(tmp_path):
@@ -782,6 +807,38 @@ def test_save_load_round_trip_property(tmp_path_factory, ckpt):
     loaded = load_checkpoint(path)
     assert loaded == ckpt
     assert serialize_checkpoint(loaded) == path.read_bytes()
+
+
+class _Parts:
+    """A writer for ``serialize_checkpoint`` that keeps a copy of each part it is given."""
+
+    def __init__(self) -> None:
+        self.parts: list[bytes] = []
+
+    def write(self, part) -> None:
+        self.parts.append(bytes(part))
+
+
+@settings(max_examples=60, deadline=None)
+@given(checkpoints(), st.none() | st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
+       st.sampled_from(["held", "loaded", "mixed"]), st.data())
+def test_streamed_serialization_writes_each_part_once(tmp_path_factory, held, metadata, kind, data):
+    names = held.names()
+    ckpt = Checkpoint({name: held[name] for name in names}, metadata)
+    if kind != "held":
+        # laid out in any order: one other than name order reorders the file's header and tensors
+        order = data.draw(st.permutations(names))
+        path = tmp_path_factory.mktemp("streamed") / "c.st"
+        path.write_bytes(build_file_bytes([(name, held[name]) for name in order], metadata))
+        ckpt = load_checkpoint(path)
+        if kind == "mixed" and names:
+            ckpt = ckpt.replace({name: held[name] + 1 for name in data.draw(st.sets(st.sampled_from(names)))})
+    writer = _Parts()
+    assert serialize_checkpoint(ckpt, out=writer) is writer
+    assert len(writer.parts) == 1 + len(ckpt)
+    assert b"".join(writer.parts) == serialize_checkpoint(ckpt)
+    assert [len(part) for part in writer.parts[1:]] == [end - start for start, end in
+                                                        (meta.byte_range for meta in ckpt.metas())]
 
 
 def test_third_party_file_round_trips_byte_identically(tmp_path):
