@@ -227,14 +227,13 @@ def cmd_lab(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     write_out = check_output(args.out, args.logs)
-    from .ood_eval import EvalLogError, collector_off, relative_improvement
+    from .ood_eval import EvalLogError, relative_improvement
 
-    with collector_off():
-        records = parse_episode_log(args.logs[0])
-        for log_path in args.logs[1:]:
-            records += parse_episode_log(log_path)
-        table = aggregate(records, args.metric)
-        del records  # all that follows reads the table
+    records = parse_episode_log(args.logs[0])
+    for log_path in args.logs[1:]:
+        records += parse_episode_log(log_path)
+    table = aggregate(records, args.metric)
+    del records  # all that follows reads the table
     summary = partial_success_summary(table)
     if args.baseline and args.baseline not in summary:
         raise EvalLogError(f"baseline policy {args.baseline!r} not present in the logs")

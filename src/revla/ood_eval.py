@@ -20,7 +20,6 @@ log schema below can be scored here.
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 import operator
@@ -29,7 +28,6 @@ import stat
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from functools import cached_property
@@ -548,48 +546,36 @@ def _parse_lines(lines: Iterable[str]) -> tuple[_Range, list[tuple[int, str]], i
     return _Range(keys, cells, episodes, bytes(outcomes), counts), problems, lineno
 
 
-@contextmanager
-def collector_off() -> Iterator[None]:
-    """Keep the cyclic garbage collector off inside, then restore its state.
-
-    Episode records hold no reference cycles, so collections over them, while
-    they are built or tallied, only cost time.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def parse_episode_log(path: str | Path) -> EpisodeLog:
     """Read a newline-delimited JSON episode log, naming every bad line.
 
     A regular file is cut into byte ranges at line starts, one per usable
     core, which ``revla.cores.map_on_cores`` parses with ``_parse_lines``;
     any other file (a pipe, say) has no size to cut by and is read in one
-    pass. Each range comes back as columns and counts (``_Range``), and the
-    records are built from them when they are read. The records of one
-    range share one object per distinct string. A line that is not UTF-8,
-    or is nested deeper than the recursion limit, is a bad line like any
-    other.
+    pass. A regular file whose size or modification time differs after the
+    parse changed while it was read, and fails before any bad line is named
+    (a same-size rewrite within one timestamp tick goes unseen). Each range
+    comes back as columns and counts (``_Range``), and the records are built
+    from them when they are read. The records of one range share one object
+    per distinct string. A line that is not UTF-8, or is nested deeper than
+    the recursion limit, is a bad line like any other.
     """
-    with collector_off():
-        with open(path, "rb") as raw:
-            fd = raw.fileno()
-            info = os.fstat(fd)
-            if stat.S_ISREG(info.st_mode):
-                from .cores import ByteRange, map_on_cores
+    with open(path, "rb") as raw:
+        fd = raw.fileno()
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode):
+            from .cores import ByteRange, map_on_cores
 
-                parts = map_on_cores(
-                    lambda r: _parse_lines(_text_lines(io.BufferedReader(ByteRange(fd, *r)))),
-                    _line_ranges(fd, info.st_size),
-                )
-            else:
-                with _text_lines(raw) as lines:
-                    parts = [_parse_lines(lines)]
+            parts = map_on_cores(
+                lambda r: _parse_lines(_text_lines(io.BufferedReader(ByteRange(fd, *r)))),
+                _line_ranges(fd, info.st_size),
+            )
+            after = os.fstat(fd)
+            if (after.st_size, after.st_mtime_ns) != (info.st_size, info.st_mtime_ns):
+                raise EvalLogError(f"episode log {path} changed while it was read")
+        else:
+            with _text_lines(raw) as lines:
+                parts = [_parse_lines(lines)]
     problems: list[str] = []
     lines_before = 0
     for _, bad, line_count in parts:

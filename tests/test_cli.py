@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from synthetic_episodes import expand_cell, to_json_obj, write_episode_log
+from test_ood_eval import _change_after_cutting
 
 import revla
 import revla.ood_eval as ood_eval
@@ -606,25 +607,50 @@ def test_eval_schema_violation_names_line(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [False, True], ids=["success", "bad-log"])
-def test_eval_keeps_the_collector_off_while_the_records_live(tmp_path, monkeypatch, capsys, bad):
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", ["success", "bad-log", "missing"])
+def test_eval_leaves_the_collector_as_the_caller_set_it(tmp_path, monkeypatch, capsys, case, collecting):
     log = tmp_path / "episodes.jsonl"
-    write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=2, lift_successes=1), log)
-    if bad:
+    if case != "missing":
+        write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=2, lift_successes=1), log)
+    if case == "bad-log":
         with log.open("a") as fh:
             fh.write('{"policy": "p"}\n')
-    collecting = []
+    seen, parse_lines = [], ood_eval._parse_lines
+
+    def parse(lines):
+        seen.append(("parse", gc.isenabled()))
+        return parse_lines(lines)
 
     def aggregate(records, metric):
-        collecting.append(gc.isenabled())
+        seen.append(("aggregate", gc.isenabled()))
         return ood_eval.aggregate(records, metric)
 
+    monkeypatch.setattr(ood_eval, "_parse_lines", parse)
     monkeypatch.setattr("revla.cli.aggregate", aggregate)
-    assert gc.isenabled()
-    assert main(["eval", str(log), "--out", str(tmp_path / "r.json")]) == (1 if bad else 0)
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        code = main(["eval", str(log), "--out", str(tmp_path / "r.json")])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
     capsys.readouterr()
-    assert collecting == ([] if bad else [False])
-    assert gc.isenabled()
+    assert code == (0 if case == "success" else 1)
+    calls = {"success": ["parse", "aggregate"], "bad-log": ["parse"], "missing": []}[case]
+    assert seen == [(call, collecting) for call in calls]
+
+
+@pytest.mark.parametrize("change", ["truncate", "rewrite"])
+def test_eval_of_a_log_changed_while_it_is_read_fails_and_keeps_the_report(tmp_path, monkeypatch, capsys, change):
+    log, out = tmp_path / "episodes.jsonl", tmp_path / "r.json"
+    write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=36, lift_successes=12), log)
+    out.write_text("earlier report\n")
+    _change_after_cutting(monkeypatch, log, change)
+    assert main(["eval", str(log), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: episode log {log} changed while it was read"]
+    assert captured.out == "" and out.read_text() == "earlier report\n"
 
 
 def test_eval_names_undecodable_and_too_deep_lines(tmp_path, capsys):

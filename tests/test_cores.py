@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import re
@@ -108,3 +109,49 @@ def test_a_worker_that_dies_while_writing_its_result_is_an_error(two_cores, monk
     with pytest.raises(RuntimeError) as info:
         map_on_cores(lambda item: "x" * 100 + str(item), [0, 1])
     assert re.fullmatch(r"worker \d+ sent no result \(wait status 0\)", str(info.value))
+
+
+@pytest.fixture
+def open_data(tmp_path):
+    """A file of 64 KiB of counting bytes, open unbuffered at offset 123, and its bytes."""
+    data = bytes(range(256)) * 256
+    path = tmp_path / "data.bin"
+    path.write_bytes(data)
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(123)
+        yield fh.fileno(), data
+
+
+def test_a_byte_range_yields_exactly_its_bytes_and_leaves_the_file_offset(open_data):
+    fd, data = open_data
+    reader = io.BufferedReader(cores.ByteRange(fd, 1000, 50_000), buffer_size=4096)
+    assert reader.read(10) == data[1000:1010]
+    assert reader.read() == data[1010:50_000]
+    assert reader.read() == b"" and reader.read(1) == b""
+    assert os.lseek(fd, 0, os.SEEK_CUR) == 123
+
+
+def test_a_byte_range_returns_no_bytes_at_its_stop(open_data):
+    fd, data = open_data
+    whole, empty = cores.ByteRange(fd, 7, 12), cores.ByteRange(fd, 500, 500)
+    buffer = bytearray(64)
+    assert whole.readinto(buffer) == 5 and bytes(buffer[:5]) == data[7:12]
+    assert whole.readinto(buffer) == 0 and whole.read(8) == b""
+    assert empty.read(8) == b"" and empty.readall() == b""
+    assert os.lseek(fd, 0, os.SEEK_CUR) == 123
+
+
+def test_a_byte_range_resumes_a_short_read(open_data, monkeypatch):
+    fd, data = open_data
+    preadv, offsets = os.preadv, []
+
+    def short(fd, buffers, offset):
+        offsets.append(offset)
+        return preadv(fd, [memoryview(buffers[0])[:1000]], offset)
+
+    monkeypatch.setattr(os, "preadv", short)
+    reader = io.BufferedReader(cores.ByteRange(fd, 100, 5600))
+    assert reader.read(5000) == data[100:5100]
+    assert reader.read() == data[5100:5600]
+    assert offsets[:6] == [100, 1100, 2100, 3100, 4100, 5100] and offsets[-1] == 5600
+    assert os.lseek(fd, 0, os.SEEK_CUR) == 123

@@ -688,6 +688,40 @@ def test_a_pipe_parses_like_the_same_bytes_in_a_file(tmp_path, monkeypatch):
         fifo.unlink()
 
 
+def _change_after_cutting(monkeypatch, path, change):
+    """Cut ``path`` into two ranges, then change it before they are parsed:
+    truncate it at a line start within the second range, or rewrite it at the
+    same size, every ``true`` made an invalid ``True``, with a later mtime."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ood_eval, "_MIN_RANGE_BYTES", 1)
+    data, line_ranges = path.read_bytes(), ood_eval._line_ranges
+
+    def cut_then_change(fd, size):
+        ranges = line_ranges(fd, size)
+        assert len(ranges) == 2
+        if change == "truncate":
+            os.truncate(path, data.index(b"\n", (ranges[1][0] + size) // 2) + 1)
+        else:
+            mtime = os.stat(path).st_mtime_ns + 10**9
+            path.write_bytes(data.replace(b"true", b"True"))
+            os.utime(path, ns=(mtime, mtime))
+        return ranges
+
+    monkeypatch.setattr(ood_eval, "_line_ranges", cut_then_change)
+
+
+@pytest.mark.parametrize("change", ["truncate", "rewrite"])
+def test_a_log_changed_while_it_is_read_fails(tmp_path, monkeypatch, change):
+    path = tmp_path / "episodes.jsonl"
+    write_episode_log(expand_cell("OpenVLA", "pear", "single", episodes=36, lift_successes=12), path)
+    size = path.stat().st_size
+    _change_after_cutting(monkeypatch, path, change)
+    with pytest.raises(EvalLogError) as info:
+        parse_episode_log(path)
+    assert str(info.value) == f"episode log {path} changed while it was read"
+    assert (path.stat().st_size < size) is (change == "truncate")
+
+
 def test_records_of_all_ranges_share_their_strings(tmp_path, monkeypatch):
     # policies interleaved, so that every range holds every policy, object and sub-setting;
     # each range has its own string table, so only records of one range share a string
@@ -836,21 +870,26 @@ def test_an_episode_log_is_a_read_only_sequence(tmp_path):
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
-def test_parse_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, collecting):
+def test_parse_and_aggregate_leave_the_collector_as_the_caller_set_it(tmp_path, monkeypatch, collecting):
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     write_episode_log(ood_records("OpenVLA", OPENVLA_LIFTS), good)
     bad.write_text("{truncated\n")
-    paused, parse_lines = [], ood_eval._parse_lines
+    seen, parse_lines, cell_figures = [], ood_eval._parse_lines, ood_eval._cell_figures
 
-    def spy(lines):
-        paused.append(not gc.isenabled())
+    def parse(lines):
+        seen.append(("parse", gc.isenabled()))
         return parse_lines(lines)
 
-    monkeypatch.setattr(ood_eval, "_parse_lines", spy)
+    def figures(records):
+        seen.append(("aggregate", gc.isenabled()))
+        return cell_figures(records)
+
+    monkeypatch.setattr(ood_eval, "_parse_lines", parse)
+    monkeypatch.setattr(ood_eval, "_cell_figures", figures)
     was_collecting = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
-        assert parse_episode_log(good)
+        assert aggregate(parse_episode_log(good), "lift").policies() == ["OpenVLA"]
         assert gc.isenabled() is collecting
         with pytest.raises(EvalLogError):
             parse_episode_log(bad)
@@ -860,7 +899,7 @@ def test_parse_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, colle
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was_collecting else gc.disable)()
-    assert paused == [True, True]
+    assert seen == [("parse", collecting), ("aggregate", collecting), ("parse", collecting)]
 
 
 def _parse_or_error(path):
