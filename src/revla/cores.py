@@ -25,9 +25,9 @@ def usable_cores() -> int:
 class ByteRange(io.RawIOBase):
     """Bytes ``start:stop`` of an open file, read by ``os.preadv``, which moves no file offset.
 
-    Processes forked with the file open may so read it at once. Eval's workers each read their
-    range of an episode log line by line through ``io.BufferedReader``: a short read goes on
-    from where it stopped at the next call, and a read at ``stop`` returns no bytes.
+    Processes forked with the file open may so read it at once. Eval reads each range of an
+    episode log, in its own process, line by line through ``io.BufferedReader``: a short read
+    goes on from where it stopped at the next call, and a read at ``stop`` returns no bytes.
     """
 
     def __init__(self, fd: int, start: int, stop: int) -> None:
