@@ -3,20 +3,29 @@
 A merge blends a selected subset of tensors as ``(1 - alpha) * current +
 alpha * pretrained`` and copies everything else from ``current`` untouched.
 Arithmetic runs in each tensor's own dtype; the endpoints alpha=0 and
-alpha=1 are exact bitwise copies. ``blend`` is the one interpolation, of the
-pairs ``selected_pairs`` checks and reads: ``linear_merge`` streams them
-through it, and a reversal plan reads them once and blends them again at
-each stage's alpha (``revla.schedule.apply_stage``).
+alpha=1 are exact bitwise copies. ``blend`` is the one interpolation. A
+reversal plan reads the pairs ``selected_pairs`` checks once and blends them
+again at each stage's alpha (``revla.schedule.apply_stage``).
+``linear_merge`` checks the pair and blends nothing: each selected tensor is
+read, compared and blended in place in two reused buffers as the result is
+saved or used (``Checkpoint.deferred``), so a merge holds its largest
+selected tensor once, not the blended bytes.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .tensor_store import Checkpoint, Selector, same_bits, select, validate_compat
+
+
+# bytes of a pretrained tensor read and blended at a time; chunks of 1 and 4 MiB merged the
+# benchmark's pairs no faster
+_CHUNK = 1 << 18
 
 
 class MergeCompatibilityError(ValueError):
@@ -43,41 +52,98 @@ def selected_pairs(
     Compatibility is checked before the first read. Bitwise-equal endpoints
     come as ``pre is cur``, which ``blend`` keeps exactly at every alpha.
     """
-    names = select(current, selector)
-    problems = validate_compat(current, pretrained, names)
-    if problems:
-        raise MergeCompatibilityError("checkpoints are not mergeable:\n" + "\n".join(problems))
-    for name in names:
+    for name in _mergeable(current, pretrained, selector):
         cur, pre = current[name], pretrained[name]
         yield name, cur, cur if same_bits(cur, pre) else pre
 
 
-def blend(cur: np.ndarray, pre: np.ndarray, alpha: float) -> np.ndarray:
+def _mergeable(current: Checkpoint, pretrained: Checkpoint, selector: Selector) -> list[str]:
+    """The names ``selector`` picks of ``current``, once both checkpoints hold them alike."""
+    names = select(current, selector)
+    problems = validate_compat(current, pretrained, names)
+    if problems:
+        raise MergeCompatibilityError("checkpoints are not mergeable:\n" + "\n".join(problems))
+    return names
+
+
+def blend(cur: np.ndarray, pre: np.ndarray, alpha: float, scratch: bool = False) -> np.ndarray:
     """``(1 - alpha) * cur + alpha * pre`` of a ``selected_pairs`` pair, in its dtype, backed by ``bytes``.
 
     It is ``cur`` itself at alpha=0 or if ``pre is cur``, and ``pre`` itself at
     alpha=1: copied, not recomputed, as ``0.0 * x`` flips the sign of zero.
+    With ``scratch``, both arrays are writable and the blend is made in place:
+    the result is ``cur``, and ``pre`` is overwritten. Both ways run the same
+    operations in the same order, so they give the same bits.
     """
     if alpha == 0.0 or pre is cur:
         return cur
     if alpha == 1.0:
         return pre
     a = cur.dtype.type(alpha)
+    left = np.multiply(cur, cur.dtype.type(1.0) - a, out=cur if scratch else None)
+    left += np.multiply(pre, a, out=pre if scratch else None)
+    if scratch:
+        return left
     # frozen as it is made, so no float result waits for Checkpoint to copy it
-    return np.ndarray(cur.shape, cur.dtype, ((cur.dtype.type(1.0) - a) * cur + a * pre).tobytes())
+    return np.ndarray(cur.shape, cur.dtype, left.tobytes())
 
 
 def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -> Checkpoint:
     """Blend the selected tensors of two checkpoints at ``spec.alpha``.
 
     Every selected element becomes ``(1 - alpha) * current + alpha *
-    pretrained``, evaluated in the tensor's dtype. Unselected tensors are
-    copied from ``current`` byte for byte; of a loaded checkpoint they stay
-    unread in its file, and ``save_checkpoint`` has the kernel copy them
-    from it.
+    pretrained``, evaluated in the tensor's dtype. The two are checked
+    compatible here, and nothing is read: each blend is made as the result
+    is saved or used. The current tensor is read whole into one buffer the
+    size of the largest selected tensor and blended there with the
+    pretrained one, read a chunk at a time into a second buffer
+    (``_blend_in_chunks``); both are reused for every tensor. At alpha 0
+    and 1 a selected tensor is ``current``'s or ``pretrained``'s as stored.
+    Unselected tensors are copied from ``current`` byte for byte. A tensor
+    still in a loaded file stays unread in it, and ``save_checkpoint`` has
+    the kernel copy it from there.
     """
-    pairs = selected_pairs(current, pretrained, spec.selector)
-    return current.replace({name: blend(cur, pre, spec.alpha) for name, cur, pre in pairs})
+    names = _mergeable(current, pretrained, spec.selector)
+    if spec.alpha == 0.0:
+        return current
+    if spec.alpha == 1.0:
+        return current.take(pretrained, names)
+    sizes = {meta.name: meta.byte_range[1] - meta.byte_range[0] for meta in current.metas()}
+    largest = max((sizes[name] for name in names), default=0)
+    buffers: list[memoryview] = []  # allocated at first use and reused for every tensor
+    lock = threading.Lock()  # so one tensor is made in them at a time
+
+    def write(name: str, out) -> None:
+        with lock:
+            if not buffers:
+                buffers.extend(memoryview(bytearray(size)) for size in (largest, min(_CHUNK, largest)))
+            cur = current.read_into(name, buffers[0])
+            out(_blend_in_chunks(cur, pretrained, name, buffers[1], spec.alpha).view(np.uint8).data)
+
+    return current.deferred(names, write)
+
+
+def _blend_in_chunks(cur: np.ndarray, pretrained: Checkpoint, name: str, chunk: memoryview, alpha: float):
+    """``cur``, the current tensor ``name`` as a writable flat array, blended in place with ``pretrained``'s.
+
+    The pretrained tensor is read one ``chunk`` at a time. A pair equal bit
+    for bit throughout is the current tensor exactly, as ``selected_pairs``
+    marks it, so the blend starts only once a chunk is found to differ, and
+    reads again the equal chunks before it.
+    """
+    step = len(chunk) // cur.itemsize
+    starts = range(0, cur.size, step) if cur.size else ()
+    for first in starts:
+        pre = pretrained.read_into(name, chunk, first * cur.itemsize)
+        if not same_bits(cur[first : first + step], pre):
+            break
+    else:
+        return cur
+    for start in starts:
+        if start or first:  # else this is the first chunk, still as it was read above
+            pre = pretrained.read_into(name, chunk, start * cur.itemsize)
+        blend(cur[start : start + step], pre, alpha, scratch=True)
+    return cur
 
 
 def merge_distance(a: Checkpoint, b: Checkpoint, selector: Selector) -> dict[str, float]:

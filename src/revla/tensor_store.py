@@ -13,23 +13,27 @@ multiple, which makes byte output a deterministic function of the
 checkpoint's contents.
 
 Every tensor is one entry: its file tag (``F32``, ``F64``), its shape, and
-its little-endian bytes, which are either left in a loaded file or held in
-memory. A loaded checkpoint keeps its file open and reads each tensor from
-it when the tensor is used. Serializing and saving take the same parts of
-the canonical file: the header, then each tensor's bytes from memory or its
-file. Serializing reads each part into its one result, or, given a writer,
-hands it each part in turn, reading each tensor still in its file into one
-reused buffer, so it holds the largest such tensor and not the file (an
-``inspect`` of a 515 MiB file peaks at about 25 MB). Saving writes held
-bytes as they are and has the kernel copy each tensor still in its file
-(``os.copy_file_range``), so a merge or a save holds what it computes and
-no unchanged tensor. This module imports numpy only where an array is built
+where its little-endian bytes are: left in a loaded file, held in memory, or
+made each time the tensor is used by a function that hands them to a writer
+(``Checkpoint.deferred``; ``revla.merge.linear_merge`` defers its blends so).
+A loaded checkpoint keeps its file open and reads each tensor from it when
+the tensor is used. Serializing and saving take the same parts of the
+canonical file: the header, then each tensor's bytes from memory, its file
+or its function. Serializing reads each part into its one result, or, given
+a writer, hands it each part in turn, reading each tensor still in its file
+into one reused buffer, so it holds the largest such tensor and not the file
+(an ``inspect`` of a 515 MiB file peaks at about 25 MB). Saving writes held
+bytes as they are, has each function write its tensor as it makes it, and
+has the kernel copy each tensor still in its file (``os.copy_file_range``),
+so a save holds no unchanged tensor, and a merge's save holds what it makes
+one tensor at a time. This module imports numpy only where an array is built
 or compared: a command that reads headers and bytes alone never loads it.
 """
 
 from __future__ import annotations
 
 import errno
+import functools
 import io
 import json
 import math
@@ -40,7 +44,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import check_output
 from .selector import Selector
@@ -60,6 +64,9 @@ _TAG_FOR_CHAR = {"f": "F32", "d": "F64"}  # numpy's type codes of float32 and fl
 _MAX_INTP = sys.maxsize
 # what os.copy_file_range raises where the kernel cannot copy between two files; seccomp filters give EPERM
 _NO_KERNEL_COPY = frozenset({errno.EXDEV, errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP, errno.EPERM})
+# a tensor made when it is used: called with a writer, it hands it the tensor's bytes in one call, in
+# a view that is valid only during that call
+_Made = Callable[[Callable[[memoryview], object]], None]
 
 
 def _too_many_dims(ndim: int) -> bool:
@@ -121,12 +128,14 @@ class _Source:
 
 
 class _Stream(io.RawIOBase):
-    """Parts ``(source, offset, nbytes)`` of held ``bytes`` or a file, read in order as one raw stream.
+    """Parts ``(source, offset, nbytes)`` of held ``bytes``, a file or a made tensor, read in order as
+    one raw stream.
 
     Each read copies from one part straight into the reader's buffer, so
-    ``io.BufferedReader(stream).read(stream.size)`` holds the parts once, in its result."""
+    ``io.BufferedReader(stream).read(stream.size)`` holds the parts once, in its result. A made
+    tensor is made when the stream reaches it, and held until it is read."""
 
-    def __init__(self, parts: Iterable[tuple[_Source | bytes, int, int]]) -> None:
+    def __init__(self, parts: Iterable[tuple[_Source | bytes | _Made, int, int]]) -> None:
         # an empty part is left out: a read of no bytes would end a buffered read
         self._parts = deque(part for part in parts if part[2])
         self.size = sum(part[2] for part in self._parts)
@@ -138,6 +147,8 @@ class _Stream(io.RawIOBase):
         if not self._parts:
             return 0
         src, offset, nbytes = self._parts.popleft()
+        if callable(src):
+            src = _bytes(src, offset, nbytes)
         view = memoryview(buffer)[:nbytes]
         if isinstance(src, bytes):
             count = len(view)
@@ -150,10 +161,15 @@ class _Stream(io.RawIOBase):
         return count
 
 
-def _bytes(source: _Source | bytes, offset: int, nbytes: int) -> bytes:
-    """``nbytes`` from ``offset`` of held ``bytes`` (itself, if all of it) or of a file, read anew."""
+def _bytes(source: _Source | bytes | _Made, offset: int, nbytes: int) -> bytes:
+    """``nbytes`` from ``offset`` of held ``bytes`` (itself, if all of it), of a file, read anew, or of
+    what a made tensor hands its writer, copied."""
     if isinstance(source, bytes):
         return source[offset : offset + nbytes]
+    if callable(source):
+        made: list[bytes] = []
+        source(lambda view: made.append(bytes(view)))
+        return made[0][offset : offset + nbytes]
     return io.BufferedReader(_Stream([(source, offset, nbytes)])).read(nbytes)
 
 
@@ -186,10 +202,12 @@ class _Stored(NamedTuple):
     """One tensor: its tag, its shape, and where its little-endian bytes are.
 
     ``source`` is the loaded file the bytes lie in at ``offset``, read on
-    every access and never cached, or the tensor's own ``bytes`` held in memory.
+    every access and never cached, the tensor's own ``bytes`` held in memory,
+    or a function that makes the tensor on every access and hands its bytes
+    to a writer (``_Made``, made by ``Checkpoint.deferred``; ``offset`` is 0).
     """
 
-    source: _Source | bytes
+    source: _Source | bytes | _Made
     offset: int
     shape: tuple[int, ...]
     tag: str
@@ -212,7 +230,8 @@ class Checkpoint:
     Every tensor's bytes are an immutable ``bytes`` object, so no array of
     them can be made writable. An array whose ``base`` is a ``bytes`` object
     holding exactly its bytes in file order is adopted and shared; anything
-    else is copied once. A loaded checkpoint's tensors stay in its file.
+    else is copied once. A loaded checkpoint's tensors stay in its file, and
+    a deferred one's (``deferred``) are made anew each time they are used.
     Indexing builds a new read-only array over a tensor's bytes each time,
     and names, shapes and dtypes are known without reading any. Iteration
     is by name.
@@ -287,6 +306,31 @@ class Checkpoint:
         tensors = dict(self._tensors)
         tensors.update(updates)
         return Checkpoint(tensors, self._metadata)
+
+    def take(self, other: "Checkpoint", names: Iterable[str]) -> "Checkpoint":
+        """New checkpoint with the tensors ``names`` of ``other`` as they are stored there; none is read."""
+        return self.replace({name: other._tensors[name] for name in names})
+
+    def deferred(
+        self, names: Iterable[str], write: Callable[[str, Callable[[memoryview], object]], None]
+    ) -> "Checkpoint":
+        """New checkpoint whose tensors ``names``, at the shapes and tags they have here, are made each
+        time one is used, by ``write(name, out)``: it hands ``out`` the tensor's bytes in one call, in a
+        view that is valid only during that call. Nothing is made here."""
+        made = {name: functools.partial(write, name) for name in names}
+        return self.replace({name: self._tensors[name]._replace(source=source, offset=0)
+                             for name, source in made.items()})
+
+    def read_into(self, name: str, buffer: memoryview, start: int = 0) -> np.ndarray:
+        """The tensor's elements from its byte ``start`` (a whole element) on, as many as fit in the
+        writable ``buffer`` or as remain, read into it and returned as a writable flat array over it."""
+        import numpy as np
+
+        tensor = self._tensors[name]
+        itemsize = _ITEMSIZE[tensor.tag]
+        view = buffer[: min(len(buffer) // itemsize * itemsize, tensor.nbytes - start)]
+        io.BufferedReader(_Stream([(tensor.source, tensor.offset + start, len(view))])).readinto(view)
+        return np.ndarray((len(view) // itemsize,), _DTYPE_FOR_TAG[tensor.tag], view)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Checkpoint):
@@ -467,7 +511,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(tensors, metadata or None)
 
 
-def _canonical(ckpt: Checkpoint) -> list[tuple[_Source | bytes, int, int]]:
+def _canonical(ckpt: Checkpoint) -> list[tuple[_Source | bytes | _Made, int, int]]:
     """The parts of ``ckpt``'s canonical file, for ``_Stream``: the padded header, then each tensor."""
     header: dict[str, object] = {}
     if ckpt.metadata:
@@ -488,22 +532,25 @@ def serialize_checkpoint(ckpt: Checkpoint, out=None):
     """Canonical byte serialization; equal checkpoints yield equal bytes.
 
     Without ``out``, each tensor's bytes are copied once, from memory or its
-    file, into the one ``bytes`` result, so this holds the checkpoint once.
-    With ``out``, the same bytes go to ``out.write`` one part per call (the
-    padded header, then each tensor in name order, a zero-size one as an
-    empty write) and ``out`` is returned. A held tensor is written from its
-    own bytes; one still in its file is read whole into one buffer, reused
-    for every such tensor, so this holds the largest of them once. The view
-    given to ``write`` is valid only during that call."""
+    file, into the one ``bytes`` result, so this holds the checkpoint once
+    (and a made tensor once more while it is copied in). With ``out``, the
+    same bytes go to ``out.write`` one part per call (the padded header, then
+    each tensor in name order, a zero-size one as an empty write) and ``out``
+    is returned. A held tensor is written from its own bytes and a made one
+    as it is made; one still in its file is read whole into one buffer,
+    reused for every such tensor, so this holds the largest of them once.
+    The view given to ``write`` is valid only during that call."""
     parts = _canonical(ckpt)
     if out is None:
         stream = _Stream(parts)
         return io.BufferedReader(stream).read(stream.size)
-    largest = max((nbytes for source, _, nbytes in parts if not isinstance(source, bytes)), default=0)
+    largest = max((nbytes for source, _, nbytes in parts if isinstance(source, _Source)), default=0)
     buffer = memoryview(bytearray(largest))
     for source, offset, nbytes in parts:
         if isinstance(source, bytes):
             out.write(memoryview(source)[offset : offset + nbytes])
+        elif callable(source):
+            source(out.write)
         else:
             view = buffer[:nbytes]
             io.BufferedReader(_Stream([(source, offset, nbytes)])).readinto(view)
@@ -514,15 +561,19 @@ def serialize_checkpoint(ckpt: Checkpoint, out=None):
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write the canonical serialization of ``ckpt`` to ``path`` with the writer that
     ``revla.check_output`` returns for a renamed output: whole or not at all, replacing any link.
-    Held tensors are written as they are; each tensor in a file is copied from it by the kernel
-    (``_copy``), or read and written where the kernel cannot copy, so no unchanged tensor is held.
-    A file the kernel refuses to copy from is not asked again in this save."""
+    Held tensors are written as they are and made ones as they are made; each tensor in a file is
+    copied from it by the kernel (``_copy``), or read and written where the kernel cannot copy, so
+    no unchanged tensor is held. A file the kernel refuses to copy from is not asked again in this
+    save."""
     refused: set[_Source] = set()
     check_output(path, renamed=True)(_chunk(*part, refused) for part in _canonical(ckpt))
 
 
-def _chunk(source: _Source | bytes, offset: int, nbytes: int, refused: set[_Source]):
-    """A part as the writer takes it: held ``bytes``, or a function that copies it from its file."""
+def _chunk(source: _Source | bytes | _Made, offset: int, nbytes: int, refused: set[_Source]):
+    """A part as the writer takes it: held ``bytes``, or a function that makes it or copies it from
+    its file into the open file it is given."""
     if isinstance(source, bytes):
         return source[offset : offset + nbytes]
+    if callable(source):
+        return lambda out: source(out.write)
     return lambda out: _copy(source, offset, nbytes, out, refused)

@@ -859,22 +859,37 @@ def test_running_out_of_memory_fails_with_one_line(tmp_path, argv):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.st", "b.st"]  # no output, no .tmp
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
-def test_inspect_of_a_file_larger_than_its_memory_cap_streams_it(tmp_path, monkeypatch):
-    # 1 GiB of 16 MiB tensors under a 768 MiB address-space cap, set in the child only: inspect
-    # holds one tensor at a time, so it succeeds and reports what an uncapped run reports
+def _write_sparse_gib_of_tensors(path, values=()):
+    """A checkpoint of 64 F32 tensors of 16 MiB, 1 GiB of zero bytes left as holes in a sparse file,
+    but for ``values``, written as F32 at the start of each tensor."""
     header = {f"t{i:02d}": {"dtype": "F32", "shape": [4 << 20], "data_offsets": [i << 24, (i + 1) << 24]}
               for i in range(64)}
     blob = json.dumps(header).encode()
     blob = blob.ljust(-(-len(blob) // 8) * 8)
-    with open(tmp_path / "a.st", "wb") as fh:
+    start = 8 + len(blob)
+    with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(blob)) + blob)
-        fh.truncate(8 + len(blob) + (1 << 30))
+        fh.truncate(start + (1 << 30))
+        for i in range(64 if values else 0):
+            fh.seek(start + (i << 24))
+            fh.write(np.asarray(values, np.float32).tobytes())
+
+
+def _run_cli_under_768_mib(tmp_path, argv):
+    """Run the command line in a child whose address space is capped at 768 MiB; the cap is set in
+    the child only."""
     root = str(Path(revla.__file__).resolve().parent.parent)
-    code = _RUN_CLI_UNDER_AN_ADDRESS_SPACE_CAP.format(cap=768 << 20, root=root,
-                                                      argv=["inspect", "a.st", "--out", "capped.json"])
-    result = subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,
-                            text=True, timeout=300)
+    code = _RUN_CLI_UNDER_AN_ADDRESS_SPACE_CAP.format(cap=768 << 20, root=root, argv=argv)
+    return subprocess.run([sys.executable, "-I", "-B", "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_inspect_of_a_file_larger_than_its_memory_cap_streams_it(tmp_path, monkeypatch):
+    # 1 GiB of 16 MiB tensors under a 768 MiB address-space cap, set in the child only: inspect
+    # holds one tensor at a time, so it succeeds and reports what an uncapped run reports
+    _write_sparse_gib_of_tensors(tmp_path / "a.st")
+    result = _run_cli_under_768_mib(tmp_path, ["inspect", "a.st", "--out", "capped.json"])
     assert (result.returncode, result.stderr) == (0, "")
     monkeypatch.chdir(tmp_path)
     assert main(["inspect", "a.st", "--out", "uncapped.json"]) == 0
@@ -882,6 +897,36 @@ def test_inspect_of_a_file_larger_than_its_memory_cap_streams_it(tmp_path, monke
     report = json.loads((tmp_path / "capped.json").read_text())
     assert report["tensor_count"] == 64
     assert {row["sha256"] for row in report["tensors"]} == {hashlib.sha256(bytes(16 << 20)).hexdigest()}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_merge_of_files_larger_than_its_memory_cap_streams_them(tmp_path, monkeypatch):
+    # two files of 1 GiB in 16 MiB tensors under a 768 MiB address-space cap: merge blends each
+    # pair in two reused buffers as it writes it, so it succeeds and writes what an uncapped run
+    # writes. The pretrained tensors differ from the current ones, so every pair is blended.
+    _write_sparse_gib_of_tensors(tmp_path / "a.st")
+    _write_sparse_gib_of_tensors(tmp_path / "b.st", [1.0, -3.0, 0.5, 2.0**-20])
+    merge = ["merge", "a.st", "b.st", "--alpha", "0.25", "--out"]
+    try:
+        result = _run_cli_under_768_mib(tmp_path, [*merge, "capped.st"])
+        assert (result.returncode, result.stderr) == (0, "")
+        monkeypatch.chdir(tmp_path)
+        assert main([*merge, "uncapped.st"]) == 0
+        with open("capped.st", "rb") as capped, open("uncapped.st", "rb") as uncapped:
+            while chunk := capped.read(16 << 20):
+                assert chunk == uncapped.read(16 << 20)
+            assert uncapped.read(1) == b""
+        metas = load_checkpoint("capped.st").metas()
+        assert [(meta.name, meta.shape) for meta in metas] == [(f"t{i:02d}", (4 << 20,)) for i in range(64)]
+        with open("capped.st", "rb") as fh:
+            start = 8 + struct.unpack("<Q", fh.read(8))[0]
+            for meta in metas:
+                fh.seek(start + meta.byte_range[0])
+                blended = np.frombuffer(fh.read(32), np.float32).tolist()
+                assert blended == [0.25, -0.75, 0.125, 2.0**-22, 0, 0, 0, 0]
+    finally:  # two files of 1 GiB that are not holes
+        for name in ("capped.st", "uncapped.st"):
+            (tmp_path / name).unlink(missing_ok=True)
 
 
 _RUN_CLI_THEN_REPORT_MODULES = """

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from revla.merge import MergeCompatibilityError, MergeSpec, linear_merge, merge_distance
-from revla.tensor_store import Checkpoint, Selector
+import revla.merge as merge
+from revla.merge import MergeCompatibilityError, MergeSpec, blend, linear_merge, merge_distance, selected_pairs
+from revla.tensor_store import Checkpoint, Selector, save_checkpoint, serialize_checkpoint
 
 ALL = Selector(["*"])
 
@@ -110,6 +112,35 @@ def test_equal_endpoints_are_compared_bit_for_bit(dtype):
     out = linear_merge(*zeros, MergeSpec(0.3, ALL))["s"]
     assert out.tobytes() == scalar_merge_oracle(zeros[0]["s"], zeros[1]["s"], 0.3).tobytes()
     assert out.tobytes() != zeros[0]["s"].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [8, 16, 1 << 20])
+def test_blending_in_chunks_gives_the_blend_of_whole_tensors(tmp_path, monkeypatch, chunk):
+    # a pair is the current tensor only if it is equal throughout; one that differs in its last
+    # chunk alone is blended in every chunk, the equal ones too
+    monkeypatch.setattr(merge, "_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal(13)
+    late = base.copy()
+    late[-1] += 1.0
+    cur = Checkpoint({"a": rng.standard_normal((3, 5)), "equal": base, "late": base, "empty": np.zeros((0, 2)),
+                      "zero": np.array(-0.0), "f32": rng.standard_normal(7).astype(np.float32)})
+    pre = Checkpoint({"a": rng.standard_normal((3, 5)), "equal": base.copy(), "late": late,
+                      "empty": np.zeros((0, 2)), "zero": np.array(0.0),
+                      "f32": rng.standard_normal(7).astype(np.float32)})
+    expected = cur.replace({name: blend(c, p, 0.3) for name, c, p in selected_pairs(cur, pre, ALL)})
+    assert expected["late"][:12].tobytes() != base[:12].tobytes()  # so an unblended chunk would show
+    merged = linear_merge(cur, pre, MergeSpec(0.3, ALL))
+    assert serialize_checkpoint(merged) == serialize_checkpoint(expected)
+    assert serialize_checkpoint(merged, out=io.BytesIO()).getvalue() == serialize_checkpoint(expected)
+    save_checkpoint(merged, tmp_path / "merged.st")
+    assert (tmp_path / "merged.st").read_bytes() == serialize_checkpoint(expected)
+    assert merged["equal"].tobytes() == base.tobytes()
+    empty = linear_merge(cur, pre, MergeSpec(0.3, Selector(["empty"])))  # no byte to blend
+    assert serialize_checkpoint(empty) == serialize_checkpoint(cur)
+    # a merge of a merge reads each blended tensor chunk by chunk from what it is made of
+    again = expected.replace({name: blend(c, p, 0.5) for name, c, p in selected_pairs(expected, pre, ALL)})
+    assert serialize_checkpoint(linear_merge(merged, pre, MergeSpec(0.5, ALL))) == serialize_checkpoint(again)
 
 
 def test_affine_in_alpha_exact_on_dyadic_grid():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revla
+import revla.merge as merge
 import revla.tensor_store as tensor_store
 from revla.cli import main
 from revla.cores import map_on_cores
@@ -356,12 +358,14 @@ def test_load_and_merge_copy_each_byte_at_most_once(tmp_path):
 
 
 def test_merge_holds_each_blended_tensor_once(tmp_path):
-    # each blended tensor is frozen as it is computed, so the peak is the
-    # selected quarter once plus the last tensor's float result (5/16)
+    # linear_merge holds no blended bytes: each tensor is blended as the save writes it, in two
+    # buffers the size of the largest selected tensor, reused for every one
     current, pretrained, _ = _invariant_pair(tmp_path)
-    ckpt_bytes = sum(current[name].nbytes for name in current)
+    largest = max(current[name].nbytes for name in current)
     spec = MergeSpec(0.3, Selector(["g0.*"]))
-    assert _traced_peak(linear_merge, current, pretrained, spec) <= 0.32 * ckpt_bytes
+    assert _traced_peak(linear_merge, current, pretrained, spec) < 64 * 1024
+    merged = linear_merge(current, pretrained, spec)
+    assert _traced_peak(save_checkpoint, merged, tmp_path / "merged.st") <= 2 * largest + 256 * 1024
 
 
 def test_serializing_a_loaded_canonical_file_copies_nothing(tmp_path):
@@ -377,14 +381,54 @@ def test_serializing_a_loaded_canonical_file_copies_nothing(tmp_path):
 
 
 def test_merge_command_holds_the_blended_bytes_not_its_inputs(tmp_path):
-    # the inputs stay in their files: a merge holds what it blends (a
-    # quarter) plus a few tensors in flight, and streams the rest to disk
-    current, pretrained, cur_path = _invariant_pair(tmp_path)
+    # the inputs stay in their files: a merge reads each selected pair into two buffers the size of
+    # the largest selected tensor, blends it there as it writes it, and streams the rest to disk
+    current, pretrained, cur_path = _invariant_pair(tmp_path)  # 16 f64 tensors of 512 KiB, 8 MiB
     pre_path, out = tmp_path / "pretrained.st", tmp_path / "merged.st"
     save_checkpoint(pretrained, pre_path)
+    largest = max(current[name].nbytes for name in select(current, Selector(["g0.*"])))
     argv = ["merge", str(cur_path), str(pre_path), "--alpha", "0.3", "--select", "g0.*", "--out", str(out)]
-    assert _traced_peak(main, argv) <= 0.5 * cur_path.stat().st_size
+    assert _traced_peak(main, argv) <= 2 * largest + 256 * 1024
     assert load_checkpoint(out) == linear_merge(current, pretrained, MergeSpec(0.3, Selector(["g0.*"])))
+
+
+def _merge_of_saved_pair(tmp_path, alpha):
+    """``_invariant_pair``, both saved, and the merge of ``g0.*`` of the two loaded files at ``alpha``."""
+    current, pretrained, cur_path = _invariant_pair(tmp_path)
+    pre_path = tmp_path / "pretrained.st"
+    save_checkpoint(pretrained, pre_path)
+    loaded = load_checkpoint(cur_path), load_checkpoint(pre_path)
+    return current, pretrained, cur_path, pre_path, linear_merge(*loaded, MergeSpec(alpha, Selector(["g0.*"])))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_an_endpoint_merge_of_two_loaded_files_is_copied_in_the_kernel(tmp_path, monkeypatch, alpha):
+    # at alpha 0 and 1 each selected tensor is the current or pretrained one as stored: the save has
+    # the kernel copy every tensor from its file, and no pair is read or compared
+    current, pretrained, cur_path, pre_path, merged = _merge_of_saved_pair(tmp_path, alpha)
+    copy, copied, compared = tensor_store._copy, [], []
+
+    def recording_copy(source, *args):
+        copied.append(source.path)
+        copy(source, *args)
+
+    monkeypatch.setattr(tensor_store, "_copy", recording_copy)
+    monkeypatch.setattr(merge, "same_bits", lambda *args: compared.append(args))
+    save_checkpoint(merged, tmp_path / "merged.st")
+    assert copied == [pre_path if alpha else cur_path] * 4 + [cur_path] * 12  # g0.* comes first
+    assert compared == []
+    expected = current.replace({name: pretrained[name] for name in current if name.startswith("g0.")})
+    assert (tmp_path / "merged.st").read_bytes() == serialize_checkpoint(expected if alpha else current)
+
+
+def test_a_merged_tensor_is_blended_anew_on_each_use(tmp_path):
+    current, pretrained, _, _, merged = _merge_of_saved_pair(tmp_path, 0.3)
+    for name in ("g0.w0", "g0.w3"):
+        first, second = merged[name], merged[name]
+        assert first is not second and first.tobytes() == second.tobytes()
+        assert not first.flags.writeable and not second.flags.writeable
+        assert first.tobytes() == merge.blend(current[name], pretrained[name], 0.3).tobytes()
+    assert serialize_checkpoint(merged) == serialize_checkpoint(merged, out=io.BytesIO()).getvalue()
 
 
 def test_inspect_command_holds_one_tensor_not_its_file(tmp_path):
@@ -401,13 +445,13 @@ def _changed_since_loaded(path):
     return pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))} changed since it was loaded$")
 
 
-def _save_fails_as_changed(ckpt, path):
-    """Saving ``ckpt``, loaded from ``path``, fails as changed in the kernel-copy path and leaves its
-    directory as it was."""
+def _save_fails_as_changed(ckpt, path, copied=True):
+    """Saving ``ckpt``, loaded or merged from ``path``, fails as changed, in the kernel-copy path if
+    ``copied`` and else in a read, and leaves its directory as it was."""
     target = path.with_name("target.st")
     target.write_bytes(b"old bytes")
     before = sorted(p.name for p in path.parent.iterdir())
-    copy, failed = tensor_store._copy, []
+    copy, changed, failed, found = tensor_store._copy, tensor_store._Source.changed, [], []
 
     def recording_copy(*args):
         try:
@@ -416,20 +460,31 @@ def _save_fails_as_changed(ckpt, path):
             failed.append(args[0].path)
             raise
 
+    def recording_changed(source):
+        found.append(source.path)
+        return changed(source)
+
     with pytest.MonkeyPatch.context() as patch, _changed_since_loaded(path):
         patch.setattr(tensor_store, "_copy", recording_copy)
+        patch.setattr(tensor_store._Source, "changed", recording_changed)
         save_checkpoint(ckpt, target)
-    assert failed == [path]
+    assert found == [path]
+    assert failed == ([path] if copied else [])
     assert target.read_bytes() == b"old bytes"
     assert sorted(p.name for p in path.parent.iterdir()) == before
+
+
+def _rewrite_keeping_size(path):
+    """Flip one bit of ``path``'s last byte and move its modification time a second on."""
+    raw, stat = path.read_bytes(), path.stat()
+    path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
 
 
 def test_a_file_rewritten_after_loading_fails(tmp_path, monkeypatch):
     path = write_file(tmp_path, build_file_bytes(_entries()))
     ckpt = load_checkpoint(path)
-    raw, stat = path.read_bytes(), path.stat()
-    path.write_bytes(raw[:-1] + bytes([raw[-1] ^ 1]))  # same size, one bit flipped
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+    _rewrite_keeping_size(path)
     with _changed_since_loaded(path):
         ckpt["d.w"]
     with _changed_since_loaded(path):
@@ -437,6 +492,16 @@ def test_a_file_rewritten_after_loading_fails(tmp_path, monkeypatch):
     with _changed_since_loaded(path):
         serialize_checkpoint(ckpt, out=_Parts())
     _save_fails_as_changed(ckpt, path)
+
+
+@pytest.mark.parametrize("changed", ["current", "pretrained"])
+def test_a_merge_input_rewritten_before_the_save_fails(tmp_path, changed):
+    # each selected pair is read when the save writes it, so an input changed between linear_merge
+    # and save_checkpoint fails there, in the read of the first selected tensor (g0.w0)
+    _, _, cur_path, pre_path, merged = _merge_of_saved_pair(tmp_path, 0.3)
+    path = cur_path if changed == "current" else pre_path
+    _rewrite_keeping_size(path)
+    _save_fails_as_changed(merged, path, copied=False)
 
 
 def test_a_file_truncated_after_loading_fails(tmp_path, monkeypatch):
