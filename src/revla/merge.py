@@ -72,13 +72,17 @@ def blend(cur: np.ndarray, pre: np.ndarray, alpha: float, scratch: bool = False)
     It is ``cur`` itself at alpha=0 or if ``pre is cur``, and ``pre`` itself at
     alpha=1: copied, not recomputed, as ``0.0 * x`` flips the sign of zero.
     With ``scratch``, both arrays are writable and the blend is made in place:
-    the result is ``cur``, and ``pre`` is overwritten. Both ways run the same
-    operations in the same order, so they give the same bits.
+    the result is ``cur`` at every alpha (at alpha=1, ``pre`` copied into it),
+    and ``pre`` may be overwritten. Both ways run the same operations in the
+    same order, so they give the same bits.
     """
     if alpha == 0.0 or pre is cur:
         return cur
     if alpha == 1.0:
-        return pre
+        if not scratch:
+            return pre
+        cur[...] = pre
+        return cur
     a = cur.dtype.type(alpha)
     left = np.multiply(cur, cur.dtype.type(1.0) - a, out=cur if scratch else None)
     left += np.multiply(pre, a, out=pre if scratch else None)
@@ -97,7 +101,11 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
     is saved or used. The current tensor is read whole into one buffer the
     size of the largest selected tensor and blended there with the
     pretrained one, read a chunk at a time into a second buffer
-    (``_blend_in_chunks``); both are reused for every tensor. At alpha 0
+    (``_blend_in_chunks``); both are reused for every tensor. If a selected
+    pretrained tensor is itself made on use (``Checkpoint.is_deferred``, a
+    merge of a merge), the second buffer is as large as the first and each
+    pretrained tensor is read whole, so it is made once, not once per
+    chunk. At alpha 0
     and 1 a selected tensor is ``current``'s or ``pretrained``'s as stored.
     Unselected tensors are copied from ``current`` byte for byte. A tensor
     still in a loaded file stays unread in it, and ``save_checkpoint`` has
@@ -110,13 +118,14 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
         return current.take(pretrained, names)
     sizes = {meta.name: meta.byte_range[1] - meta.byte_range[0] for meta in current.metas()}
     largest = max((sizes[name] for name in names), default=0)
+    chunk = largest if any(pretrained.is_deferred(name) for name in names) else min(_CHUNK, largest)
     buffers: list[memoryview] = []  # allocated at first use and reused for every tensor
     lock = threading.Lock()  # so one tensor is made in them at a time
 
     def write(name: str, out) -> None:
         with lock:
             if not buffers:
-                buffers.extend(memoryview(bytearray(size)) for size in (largest, min(_CHUNK, largest)))
+                buffers.extend(memoryview(bytearray(size)) for size in (largest, chunk))
             cur = current.read_into(name, buffers[0])
             out(_blend_in_chunks(cur, pretrained, name, buffers[1], spec.alpha).view(np.uint8).data)
 
@@ -126,7 +135,8 @@ def linear_merge(current: Checkpoint, pretrained: Checkpoint, spec: MergeSpec) -
 def _blend_in_chunks(cur: np.ndarray, pretrained: Checkpoint, name: str, chunk: memoryview, alpha: float):
     """``cur``, the current tensor ``name`` as a writable flat array, blended in place with ``pretrained``'s.
 
-    The pretrained tensor is read one ``chunk`` at a time. A pair equal bit
+    The pretrained tensor is read one ``chunk`` at a time, and each chunk of
+    ``cur`` is the blend ``blend`` makes in place at any alpha. A pair equal bit
     for bit throughout is the current tensor exactly, as ``selected_pairs``
     marks it, so the blend starts only once a chunk is found to differ, and
     reads again the equal chunks before it.

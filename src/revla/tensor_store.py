@@ -65,7 +65,7 @@ _MAX_INTP = sys.maxsize
 # what os.copy_file_range raises where the kernel cannot copy between two files; seccomp filters give EPERM
 _NO_KERNEL_COPY = frozenset({errno.EXDEV, errno.ENOSYS, errno.EINVAL, errno.EOPNOTSUPP, errno.EPERM})
 # a tensor made when it is used: called with a writer, it hands it the tensor's bytes in one call, in
-# a view that is valid only during that call
+# a flat view of bytes that is valid only during that call
 _Made = Callable[[Callable[[memoryview], object]], None]
 
 
@@ -133,7 +133,7 @@ class _Stream(io.RawIOBase):
 
     Each read copies from one part straight into the reader's buffer, so
     ``io.BufferedReader(stream).read(stream.size)`` holds the parts once, in its result. A made
-    tensor is made when the stream reaches it, and held until it is read."""
+    tensor is made when the stream reaches it, and the bytes of its part held until they are read."""
 
     def __init__(self, parts: Iterable[tuple[_Source | bytes | _Made, int, int]]) -> None:
         # an empty part is left out: a read of no bytes would end a buffered read
@@ -147,8 +147,8 @@ class _Stream(io.RawIOBase):
         if not self._parts:
             return 0
         src, offset, nbytes = self._parts.popleft()
-        if callable(src):
-            src = _bytes(src, offset, nbytes)
+        if callable(src):  # made now, and the part's bytes held from here on
+            src, offset = _bytes(src, offset, nbytes), 0
         view = memoryview(buffer)[:nbytes]
         if isinstance(src, bytes):
             count = len(view)
@@ -168,8 +168,8 @@ def _bytes(source: _Source | bytes | _Made, offset: int, nbytes: int) -> bytes:
         return source[offset : offset + nbytes]
     if callable(source):
         made: list[bytes] = []
-        source(lambda view: made.append(bytes(view)))
-        return made[0][offset : offset + nbytes]
+        source(lambda view: made.append(bytes(view[offset : offset + nbytes])))
+        return made[0]
     return io.BufferedReader(_Stream([(source, offset, nbytes)])).read(nbytes)
 
 
@@ -316,10 +316,15 @@ class Checkpoint:
     ) -> "Checkpoint":
         """New checkpoint whose tensors ``names``, at the shapes and tags they have here, are made each
         time one is used, by ``write(name, out)``: it hands ``out`` the tensor's bytes in one call, in a
-        view that is valid only during that call. Nothing is made here."""
+        flat view of bytes that is valid only during that call. Nothing is made here."""
         made = {name: functools.partial(write, name) for name in names}
         return self.replace({name: self._tensors[name]._replace(source=source, offset=0)
                              for name, source in made.items()})
+
+    def is_deferred(self, name: str) -> bool:
+        """Whether the tensor ``name`` is made each time it is used (``deferred``), so that each
+        ``read_into`` of a part of it makes it whole again."""
+        return callable(self._tensors[name].source)
 
     def read_into(self, name: str, buffer: memoryview, start: int = 0) -> np.ndarray:
         """The tensor's elements from its byte ``start`` (a whole element) on, as many as fit in the

@@ -141,6 +141,31 @@ def test_blending_in_chunks_gives_the_blend_of_whole_tensors(tmp_path, monkeypat
     # a merge of a merge reads each blended tensor chunk by chunk from what it is made of
     again = expected.replace({name: blend(c, p, 0.5) for name, c, p in selected_pairs(expected, pre, ALL)})
     assert serialize_checkpoint(linear_merge(merged, pre, MergeSpec(0.5, ALL))) == serialize_checkpoint(again)
+    # and a merge toward a merge makes each of its pretrained tensors once, whole, not once per chunk
+    back = pre.replace({name: blend(c, p, 0.5) for name, c, p in selected_pairs(pre, expected, ALL)})
+    calls = []
+    blend_in_chunks = merge._blend_in_chunks
+    monkeypatch.setattr(merge, "_blend_in_chunks", lambda *args: calls.append(args[2]) or blend_in_chunks(*args))
+    assert serialize_checkpoint(linear_merge(pre, merged, MergeSpec(0.5, ALL))) == serialize_checkpoint(back)
+    # each outer tensor and the inner one it reads; a serialization makes no empty tensor
+    assert sorted(calls) == sorted(2 * [name for name in pre if pre[name].size])
+    save_checkpoint(linear_merge(pre, merged, MergeSpec(0.5, ALL)), tmp_path / "back.st")
+    assert (tmp_path / "back.st").read_bytes() == serialize_checkpoint(back)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_a_blend_in_place_is_the_current_array_at_the_endpoints(alpha):
+    # in place, the result is always the current array, holding the endpoint's bits, -0.0 and NaN too
+    cur = np.array([0.0, 1.5, np.nan, -2.0])
+    pre = np.array([-0.0, np.nan, 3.0, 4.0])
+    cur_bits, pre_bits = cur.tobytes(), pre.tobytes()
+    out = blend(cur, pre, alpha, scratch=True)
+    assert out is cur
+    assert out.tobytes() == (pre_bits if alpha else cur_bits)
+    assert blend(cur.copy(), pre, alpha).tobytes() == out.tobytes()
+    chunked = merge._blend_in_chunks(np.frombuffer(cur_bits).copy(), Checkpoint({"w": pre}), "w",
+                                     memoryview(bytearray(16)), alpha)
+    assert chunked.tobytes() == out.tobytes()
 
 
 def test_affine_in_alpha_exact_on_dyadic_grid():

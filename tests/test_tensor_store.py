@@ -431,6 +431,18 @@ def test_a_merged_tensor_is_blended_anew_on_each_use(tmp_path):
     assert serialize_checkpoint(merged) == serialize_checkpoint(merged, out=io.BytesIO()).getvalue()
 
 
+def test_a_made_tensor_is_read_into_a_buffer_from_any_start(tmp_path):
+    # each part comes from its own start in the made tensor, however small the buffer
+    current, pretrained, _, _, merged = _merge_of_saved_pair(tmp_path, 0.3)
+    whole = merged["g0.w1"].tobytes()
+    for size in (200_004, 262_144, len(whole) + 8):  # the first takes 200,000 bytes, whole elements
+        buffer, parts = memoryview(bytearray(size)), []
+        while (start := sum(map(len, parts))) < len(whole):
+            parts.append(merged.read_into("g0.w1", buffer, start).tobytes())
+        assert b"".join(parts) == whole and len(parts[0]) == min(size // 8 * 8, len(whole))
+    assert merged.is_deferred("g0.w1") and not merged.is_deferred("g1.w0") and not current.is_deferred("g0.w1")
+
+
 def test_inspect_command_holds_one_tensor_not_its_file(tmp_path):
     # inspect streams the canonical file part by part through one buffer the size of the largest
     # tensor, whether the file is canonical or its header keys are out of order
